@@ -3,8 +3,10 @@
 Simplices are tuples of strictly increasing non-negative vertex ids.  A
 complex stores the closure of its maximal simplices, grouped by dimension,
 with top-dimensional cofaces precomputed (every curvature formula iterates
-them).  Complexes are immutable after construction and safe to share across
-threads.
+them).  Stars are vertex-indexed: each vertex's star is stored in canonical
+order, and the star of a simplex filters the star of its first vertex.
+Construction is linear in the size of the closure.  Complexes are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -44,16 +46,12 @@ class SimplicialComplex:
         maximal_set = {as_simplex(m) for m in maximal}
         if not maximal_set and not _allow_empty:
             raise ValueError("a complex needs at least one simplex")
-        # absorb inputs that are faces of other inputs
-        self.maximal: frozenset[Simplex] = frozenset(
-            m
-            for m in maximal_set
-            if not any(m != other and set(m) <= set(other) for other in maximal_set)
-        )
-        closure: set[Simplex] = set()
-        for m in self.maximal:
-            closure.add(m)
-            closure.update(proper_faces(m))
+        faces: set[Simplex] = set()
+        for m in maximal_set:
+            faces.update(proper_faces(m))
+        # inputs that are faces of other inputs are absorbed
+        self.maximal: frozenset[Simplex] = frozenset(maximal_set - faces)
+        closure = faces | self.maximal
         self._set: frozenset[Simplex] = frozenset(closure)
         self.dim: int = max((len(s) - 1 for s in closure), default=-1)
         by_dim: list[list[Simplex]] = [[] for _ in range(self.dim + 1)]
@@ -64,6 +62,13 @@ class SimplicialComplex:
         )
         order = [s for group in self._by_dim for s in group]
         self._index: dict[Simplex, int] = {s: i for i, s in enumerate(order)}
+        vertex_star: dict[int, list[Simplex]] = {}
+        for s in order:
+            for v in s:
+                vertex_star.setdefault(v, []).append(s)
+        self._vertex_star: dict[int, tuple[Simplex, ...]] = {
+            v: tuple(star) for v, star in vertex_star.items()
+        }
         self._top_cofaces: dict[Simplex, tuple[Simplex, ...]] = {
             s: () for s in closure
         }
@@ -129,11 +134,11 @@ class SimplicialComplex:
     def star(self, eta: Simplex) -> tuple[Simplex, ...]:
         """All simplices having eta as a face, eta itself included."""
         self._require(eta)
+        vertex_star = self._vertex_star[eta[0]]
+        if len(eta) == 1:
+            return vertex_star
         es = set(eta)
-        out = []
-        for dim in range(len(eta) - 1, self.dim + 1):
-            out.extend(s for s in self._by_dim[dim] if es <= set(s))
-        return tuple(out)
+        return tuple(s for s in vertex_star if es.issubset(s))
 
     def link(self, eta: Simplex) -> "SimplicialComplex":
         """The complex { w : w disjoint from eta and w + eta in K }."""

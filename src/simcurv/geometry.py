@@ -34,6 +34,7 @@ from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
 
 DEGENERACY_TOL = 1e-9
 _RANK_TOL = 1e-10
+_CLOSED_FORM_MAX_CODIM = 2  # solid_angle is exact up to this codimension
 
 
 class GeometryError(ValueError):
@@ -273,17 +274,20 @@ class AngleCache:
         return self._values[key]
 
     def fill(self, pairs: Iterable[tuple[Simplex, Simplex]]) -> None:
-        """Compute a batch of pairs, in parallel when configured.
+        """Compute a batch of pairs; Monte Carlo pairs in parallel when
+        configured, closed-form pairs (codimension <= 2) inline.
 
         Results are identical to sequential evaluation: each pair draws from
         its own counter-based stream.
         """
-        todo = [
-            (as_simplex(e), as_simplex(s))
-            for e, s in pairs
-            if (as_simplex(e), as_simplex(s)) not in self._values
-        ]
-        todo = sorted(set(todo))
+        todo = []
+        for pair in sorted({(as_simplex(e), as_simplex(s)) for e, s in pairs}):
+            if pair in self._values:
+                continue
+            if len(pair[1]) - len(pair[0]) <= _CLOSED_FORM_MAX_CODIM:
+                self._values[pair] = solid_angle(*pair, self.embedded, self.cfg)
+            else:
+                todo.append(pair)
         workers = self.cfg.resolved_threads()
         if workers <= 1 or len(todo) <= 1:
             for eta, sigma in todo:

@@ -45,6 +45,13 @@ def parse_number(entry: Any) -> float:
     raise FileFormatError(f"expected a number or 'p/q' string, got {entry!r}")
 
 
+def _finite_row(i: int, row: Any) -> np.ndarray:
+    point = np.array([parse_number(x) for x in row])
+    if not np.isfinite(point).all():
+        raise FileFormatError(f"vertex {i} has a non-finite coordinate: {list(row)!r}")
+    return point
+
+
 def complex_to_dict(embedded: EmbeddedComplex) -> dict:
     order = sorted(embedded.complex.vertices())
     position = {v: i for i, v in enumerate(order)}
@@ -74,7 +81,7 @@ def complex_from_dict(payload: dict) -> EmbeddedComplex:
             raise FileFormatError(
                 f"vertex {i} has {len(row)} coordinates, expected {ambient}"
             )
-        coords[i] = np.array([parse_number(x) for x in row])
+        coords[i] = _finite_row(i, row)
     for m in maximal:
         for v in m:
             if not 0 <= int(v) < len(vertices):
@@ -108,7 +115,7 @@ def dump_complex(embedded: EmbeddedComplex, stream: IO[str]) -> None:
 def load_points(stream: IO[str]) -> np.ndarray:
     payload = json.load(stream)
     rows = payload["points"] if isinstance(payload, dict) else payload
-    return np.array([[parse_number(x) for x in row] for row in rows])
+    return np.array([_finite_row(i, row) for i, row in enumerate(rows)])
 
 
 def carrier_to_list(pair: SubdivisionPair) -> list[dict]:

@@ -82,12 +82,3 @@ def verify_recursion(n_max: int) -> bool:
             return False
     return True
 
-
-def warm_up(n_max: int = 64) -> None:
-    """Eagerly populate the Bernoulli and weight caches up to index n_max.
-
-    The caches are read-only afterwards, which makes concurrent reads safe.
-    """
-    for n in range(n_max + 1):
-        bernoulli(n)
-        angle_defect_term(n)

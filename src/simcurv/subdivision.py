@@ -3,7 +3,9 @@
 The carrier of a refined simplex is the unique base simplex whose relative
 interior contains its barycenter; it is found geometrically (barycentric
 coordinates, tolerance 1e-9), which also validates that the refinement really
-covers the same point set.
+covers the same point set.  Carriers are located in one batch: each base top
+simplex gets one shared least-squares solve for every barycenter still
+unlocated, so the cost is one solve per base top simplex, not one per pair.
 """
 
 from __future__ import annotations
@@ -42,32 +44,56 @@ def _barycentric_coordinates(
     return coeffs
 
 
+def locate_points(
+    embedded: EmbeddedComplex, points: np.ndarray, tol: float = DEGENERACY_TOL
+) -> list[Simplex | None]:
+    """For each row of ``points``, the simplex whose relative interior
+    contains it (closed faces shared between simplices resolve to the face
+    itself), or None.
+
+    Top simplices are tried in sorted order and the first match wins; each
+    one solves for the barycentric coordinates of all points still
+    unlocated at once.
+    """
+    points = np.asarray(points, dtype=float)
+    found: list[Simplex | None] = [None] * len(points)
+    targets = np.vstack([points.T, np.ones((1, len(points)))])
+    todo = np.arange(len(points))
+    for gamma in sorted(embedded.complex.maximal):
+        if not len(todo):
+            break
+        system = np.vstack([embedded.points(gamma).T, np.ones((1, len(gamma)))])
+        rhs = targets[:, todo]
+        coeffs, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        support = coeffs > tol
+        hits = np.flatnonzero((coeffs.min(axis=0) >= -tol) & support.any(axis=0))
+        if not len(hits):
+            continue
+        residual = np.abs(system @ coeffs[:, hits] - rhs[:, hits]).max(axis=0)
+        hits = hits[residual <= tol]
+        for j in hits:
+            found[todo[j]] = tuple(v for v, kept in zip(gamma, support[:, j]) if kept)
+        todo = np.delete(todo, hits)
+    return found
+
+
 def locate_point(
     embedded: EmbeddedComplex, point: np.ndarray, tol: float = DEGENERACY_TOL
 ) -> Simplex | None:
-    """The simplex whose relative interior contains ``point`` (closed faces
-    shared between simplices resolve to the face itself), or None."""
-    for gamma in sorted(embedded.complex.maximal):
-        coords = _barycentric_coordinates(point, embedded.points(gamma), tol)
-        if coords is None or coords.min() < -tol:
-            continue
-        support = tuple(v for v, c in zip(gamma, coords) if c > tol)
-        if support:
-            return as_simplex(support)
-    return None
+    """The simplex whose relative interior contains ``point``, or None."""
+    return locate_points(embedded, np.asarray(point, dtype=float)[None, :], tol)[0]
 
 
 def compute_carriers(base: EmbeddedComplex, refined: EmbeddedComplex) -> dict[Simplex, Simplex]:
-    carrier: dict[Simplex, Simplex] = {}
-    for tau in refined.complex.simplices():
-        found = locate_point(base, refined.barycenter(tau))
-        if found is None:
+    order = refined.complex.simplices()
+    found = locate_points(base, np.array([refined.barycenter(tau) for tau in order]))
+    for tau, carrier in zip(order, found):
+        if carrier is None:
             raise GeometryError(
                 f"barycenter of {tau} lies in no base simplex; the refinement "
                 f"does not cover the base complex within tolerance"
             )
-        carrier[tau] = found
-    return carrier
+    return dict(zip(order, found))
 
 
 def stellar_subdivide(

@@ -336,3 +336,26 @@ def test_seed_and_thread_determinism(capsys, tmp_path):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("bad_value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vertex_exits_2_naming_the_vertex(capsys, tmp_path, bad_value):
+    payload = cio.complex_to_dict(boundary_of_simplex(3))
+    payload["vertices"][2][1] = bad_value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["info", str(path)], ["verify", "gauss-bonnet", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "vertex 2 has a non-finite coordinate" in err
+        assert "SVD" not in err
+
+
+def test_non_finite_hull_point_exits_2_naming_the_vertex(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1], [float("nan"), 1]]}))
+    code, out, err = run_cli(capsys, "hull", str(path))
+    assert code == 2
+    assert out == ""
+    assert "vertex 3 has a non-finite coordinate" in err

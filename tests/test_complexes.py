@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,3 +195,43 @@ def test_relabel_preserves_structure(perm):
     assert relabeled.f_vector() == k.f_vector()
     assert relabeled.euler_characteristic() == k.euler_characteristic()
     assert relabeled.is_two_pseudomanifold() == k.is_two_pseudomanifold()
+
+
+def _brute_force(inputs):
+    """Reference complex: pairwise absorption, closure, and star by scanning."""
+    inputs = {as_simplex(m) for m in inputs}
+    maximal = {m for m in inputs if not any(m != o and set(m) <= set(o) for o in inputs)}
+    closure = {f for m in maximal for k in range(1, len(m) + 1) for f in combinations(m, k)}
+    order = tuple(sorted(closure, key=lambda s: (len(s), s)))
+    stars = {eta: tuple(s for s in order if set(eta) <= set(s)) for eta in order}
+    return maximal, order, stars
+
+
+@st.composite
+def maximal_sets(draw):
+    """Random inputs: overlapping simplices of mixed dimension, some nested
+    inside others, isolated vertices, sometimes no input at all."""
+    simplex = st.sets(st.integers(0, 7), min_size=1, max_size=4).map(as_simplex)
+    inputs = draw(st.lists(simplex, max_size=8))
+    for m in list(inputs):
+        if len(m) > 1 and draw(st.booleans()):
+            inputs.append(m[: draw(st.integers(1, len(m) - 1))])
+    return inputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(maximal_sets())
+def test_construction_and_stars_match_brute_force(inputs):
+    if not inputs:
+        assert SimplicialComplex(inputs, _allow_empty=True).simplices() == ()
+        with pytest.raises(ValueError):
+            SimplicialComplex(inputs)
+        return
+    k = SimplicialComplex(inputs)
+    maximal, order, stars = _brute_force(inputs)
+    assert k.maximal == maximal
+    assert k.simplices() == order
+    for eta in order:
+        assert k.star(eta) == stars[eta]
+        link = {tuple(v for v in s if v not in eta) for s in stars[eta] if s != eta}
+        assert set(k.link(eta).simplices()) == link

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -280,3 +281,22 @@ def test_unperturbed_cone_construction_is_degenerate():
     )
     with pytest.raises(DegeneratePositionError):
         convex_hull_boundary(pts)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fill_matches_sequential_angles_across_codimensions(threads):
+    embedded = random_simplex(4, seed=11)
+    sigma = (0, 1, 2, 3, 4)
+    pairs = [(eta, sigma) for k in range(1, 5) for eta in combinations(sigma, k)]
+    cfg = AngleConfig(samples=2000, seed=3, threads=threads)
+    reference = AngleCache(embedded, AngleConfig(samples=2000, seed=3, threads=1))
+    cache = AngleCache(embedded, cfg)
+    # duplicates and unsorted vertex order are normalized away
+    cache.fill(pairs + [(tuple(reversed(eta)), sigma) for eta, _ in pairs[5:10]])
+    assert len(cache._values) == len(pairs)
+    methods = set()
+    for eta, _ in pairs:
+        value = cache._values[(eta, sigma)]
+        assert value == reference.angle(eta, sigma)
+        methods.add((len(sigma) - len(eta), value.method))
+    assert methods == {(1, "exact"), (2, "exact"), (3, "monte_carlo"), (4, "monte_carlo")}

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -64,3 +65,14 @@ def test_carrier_payload_validation():
     assert parsed == {(0, 1): (0, 1, 2)}
     with pytest.raises(cio.FileFormatError):
         cio.carrier_from_payload([{"simplex": [0, 1]}])
+
+
+@pytest.mark.parametrize("bad_value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_rejected(bad_value):
+    doc = payload()
+    doc["vertices"][1] = [0.0, bad_value]
+    with pytest.raises(cio.FileFormatError, match="vertex 1 has a non-finite coordinate"):
+        cio.complex_from_dict(doc)
+    points = io.StringIO(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0], [bad_value, 1.0]]}))
+    with pytest.raises(cio.FileFormatError, match="vertex 2 has a non-finite coordinate"):
+        cio.load_points(points)

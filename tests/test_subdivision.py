@@ -1,14 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from simcurv.complexes import SimplicialComplex
 from simcurv.generators import boundary_of_simplex, solid_simplex, triple_book
-from simcurv.geometry import GeometryError
+from simcurv.geometry import EmbeddedComplex, GeometryError
 from simcurv.subdivision import (
     barycentric_subdivide,
     carrier_lookup,
+    compute_carriers,
     locate_point,
+    locate_points,
     stellar_subdivide,
 )
 
@@ -134,3 +138,79 @@ def test_book_subdivision_carriers():
         base_points = pair.base.points(carrier)
         # the barycenter vertex of a base simplex is its centroid
         assert np.allclose(base_points.mean(axis=0), point)
+
+
+def _reference_locate(embedded, point, tol=1e-9):
+    """Per-point, per-top-simplex location: one least-squares solve each."""
+    for gamma in sorted(embedded.complex.maximal):
+        pts = embedded.points(gamma)
+        system = np.vstack([pts.T, np.ones((1, len(gamma)))])
+        target = np.concatenate([point, [1.0]])
+        coeffs, *_ = np.linalg.lstsq(system, target, rcond=None)
+        if np.abs(system @ coeffs - target).max() > tol or coeffs.min() < -tol:
+            continue
+        support = tuple(v for v, c in zip(gamma, coeffs) if c > tol)
+        if support:
+            return support
+    return None
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: boundary_of_simplex(3), lambda: boundary_of_simplex(4), triple_book]
+)
+def test_batched_carriers_match_per_point_reference(make):
+    base = make()
+    top = base.complex.simplices(base.complex.dim)[0]
+    pairs = [
+        stellar_subdivide(base, top),
+        stellar_subdivide(base, top[:2]),
+        barycentric_subdivide(base),
+    ]
+    for pair in pairs:
+        for tau in pair.refined.complex.simplices():
+            point = pair.refined.barycenter(tau)
+            expected = _reference_locate(pair.base, point)
+            assert pair.carrier[tau] == expected
+            assert locate_point(pair.base, point) == expected
+
+
+def test_locate_points_batch_matches_single_calls(sphere2):
+    rng = np.random.Generator(np.random.Philox(5))
+    points = np.vstack([rng.normal(size=(20, 3)), sphere2.points(sphere2.complex.vertices())])
+    batch = locate_points(sphere2, points)
+    assert batch == [locate_point(sphere2, p) for p in points]
+    assert batch == [_reference_locate(sphere2, p) for p in points]
+    assert locate_points(sphere2, np.zeros((0, 3))) == []
+
+
+def test_locate_points_first_match_wins_on_overlap():
+    # two triangles overlapping in the plane: the first in sorted order wins
+    square = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, 1.0)}
+    overlap = EmbeddedComplex(SimplicialComplex([(0, 1, 2), (0, 1, 3)]), square)
+    rng = np.random.Generator(np.random.Philox(9))
+    points = np.vstack([[[0.5, 0.2], [0.9, 0.5]], rng.uniform(-0.2, 1.2, size=(200, 2))])
+    found = locate_points(overlap, points)
+    assert found[:2] == [(0, 1, 2), (0, 1, 3)]
+    assert found == [_reference_locate(overlap, p) for p in points]
+
+
+def test_uncovered_refinement_names_first_uncovered_simplex(sphere2):
+    pair = stellar_subdivide(sphere2, (0, 1, 2))
+    apex = max(pair.refined.complex.vertices())
+    normal = np.cross(*(sphere2.points((1, 2)) - sphere2.coordinates[0]))
+    coords = dict(pair.refined.coordinates)
+    coords[apex] = coords[apex] - 0.1 * normal / np.linalg.norm(normal)
+    lifted = EmbeddedComplex(pair.refined.complex, coords, 3)
+    first = next(
+        tau
+        for tau in lifted.complex.simplices()
+        if _reference_locate(sphere2, lifted.barycenter(tau)) is None
+    )
+    assert first == (apex,)
+    with pytest.raises(GeometryError, match=re.escape(f"barycenter of {first} lies")):
+        compute_carriers(sphere2, lifted)
+    with pytest.raises(GeometryError, match=re.escape("barycenter of (0,) lies")):
+        compute_carriers(
+            sphere2,
+            EmbeddedComplex(sphere2.complex, {v: 2 * p for v, p in sphere2.coordinates.items()}),
+        )
