@@ -6,8 +6,9 @@ intrinsically in the affine hull of the simplex:
 
 * codimension 0 -> exactly 1;
 * codimension 1 -> exactly 1/2;
-* codimension 2 -> planar wedge angle / 2 pi via an inverse cosine
-  (noise-free, reported as exact);
+* codimension 2 -> planar wedge angle / 2 pi via atan2 of the cross and
+  dot products of the two edge directions (noise-free, exact for thin
+  wedges too, reported as exact);
 * codimension >= 3 -> Monte Carlo: project the opposite vertices onto the
   orthogonal complement of the face, then count isotropic Gaussian
   directions falling inside the resulting simplicial cone.
@@ -237,9 +238,10 @@ def solid_angle(
     if c == 1:
         return AngleValue(0.5, 0.0, "exact", rational=Fraction(1, 2))
     if c == 2:
-        u, v = generators
-        cos_theta = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-        theta = math.acos(max(-1.0, min(1.0, cos_theta)))
+        (u0, u1), (v0, v1) = generators
+        # atan2 keeps full relative precision for thin wedges, where acos of
+        # the cosine rounds to 0
+        theta = math.atan2(abs(u0 * v1 - u1 * v0), u0 * v0 + u1 * v1)
         return AngleValue(theta / (2.0 * math.pi), 0.0, "exact")
     try:
         solve_t = np.linalg.inv(generators.T).T

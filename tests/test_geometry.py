@@ -300,3 +300,12 @@ def test_fill_matches_sequential_angles_across_codimensions(threads):
         assert value == reference.angle(eta, sigma)
         methods.add((len(sigma) - len(eta), value.method))
     assert methods == {(1, "exact"), (2, "exact"), (3, "monte_carlo"), (4, "monte_carlo")}
+
+
+@pytest.mark.parametrize("opening", [1e-8, 1e-4, 1.0, math.pi / 2, math.pi - 1e-8])
+def test_wedge_angle_keeps_relative_precision(opening):
+    coords = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0 * math.cos(opening), 2.0 * math.sin(opening))}
+    wedge = EmbeddedComplex(SimplicialComplex([(0, 1, 2)]), coords)
+    angle = solid_angle((0,), (0, 1, 2), wedge)
+    assert angle.method == "exact"
+    assert angle.value == pytest.approx(opening / (2.0 * math.pi), rel=1e-7)
