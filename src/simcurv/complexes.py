@@ -134,11 +134,8 @@ class SimplicialComplex:
     def star(self, eta: Simplex) -> tuple[Simplex, ...]:
         """All simplices having eta as a face, eta itself included."""
         self._require(eta)
-        vertex_star = self._vertex_star[eta[0]]
-        if len(eta) == 1:
-            return vertex_star
         es = set(eta)
-        return tuple(s for s in vertex_star if es.issubset(s))
+        return tuple(s for s in self._vertex_star[eta[0]] if es.issubset(s))
 
     def link(self, eta: Simplex) -> "SimplicialComplex":
         """The complex { w : w disjoint from eta and w + eta in K }."""
