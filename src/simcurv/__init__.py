@@ -43,6 +43,7 @@ from simcurv.curvature import (
     cone_vertex_curvature_factor,
     gauss_bonnet_check,
     generalized_angle_defect,
+    sommerville_check,
     stratified_curvature_at_vertex,
     subdivision_relation_check,
     vanishing_check,
@@ -89,6 +90,7 @@ __all__ = [
     "generalized_angle_defect",
     "join_complexes",
     "solid_angle",
+    "sommerville_check",
     "sommerville_residuals",
     "stellar_subdivide",
     "stratified_curvature_at_vertex",

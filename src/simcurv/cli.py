@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 from simcurv import generators, io, sequences
 from simcurv.complexes import as_simplex
@@ -24,6 +23,7 @@ from simcurv.curvature import (
     ascending_stratified_curvature,
     gauss_bonnet_check,
     generalized_angle_defect,
+    sommerville_check,
     stratified_curvature_at_vertex,
     subdivision_relation_check,
     vanishing_check,
@@ -33,7 +33,6 @@ from simcurv.geometry import (
     AngleConfig,
     GeometryError,
     convex_hull_boundary,
-    sommerville_residuals,
     top_angle_pairs,
 )
 from simcurv.io import FileFormatError, format_fraction, json_ready
@@ -365,7 +364,7 @@ def _cmd_verify(args) -> int:
             return EXIT_CHECK_FAILED
     elif args.check == "sommerville":
         embedded, _ = _read_complex(args.complex)
-        report = _sommerville_report(embedded, cfg, z)
+        report = sommerville_check(embedded, cfg, z=z)
     else:  # subdivision
         if not args.base:
             raise _CliError("verify subdivision requires --base")
@@ -383,49 +382,6 @@ def _cmd_verify(args) -> int:
         report = subdivision_relation_check(pair, cfg=cfg, z=z)
     _emit_report(report, args.format)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def _sommerville_report(embedded, cfg, z) -> TheoremReport:
-    complex = embedded.complex
-    n = complex.dim
-    if n % 2 == 0 or n < 3:
-        raise _CliError(f"sommerville check needs an odd dimension >= 3, got {n}")
-    cache = AngleCache(embedded, cfg)
-    cache.fill(top_angle_pairs(complex))
-    rows = []
-    for sigma in complex.simplices(n):
-        for p in range(0, n - 1, 2):
-            for tau in combinations(sigma, p + 1):
-                res = sommerville_residuals(sigma, tau, embedded, cache=cache)
-                ok = abs(res["alternating_residual"]) <= max(
-                    z * res["alternating_std_error"], 1e-9
-                ) and abs(res["defect_residual"]) <= max(
-                    z * res["defect_std_error"], 1e-9
-                )
-                rows.append(
-                    {
-                        "sigma": list(sigma),
-                        "tau": list(tau),
-                        "alternating_residual": res["alternating_residual"],
-                        "alternating_std_error": res["alternating_std_error"],
-                        "defect_residual": res["defect_residual"],
-                        "defect_std_error": res["defect_std_error"],
-                        "pass": ok,
-                    }
-                )
-    passed = all(r["pass"] for r in rows)
-    worst = max(rows, key=lambda r: abs(r["alternating_residual"]))
-    return TheoremReport(
-        name="sommerville",
-        passed=passed,
-        z_threshold=z,
-        abs_tol=1e-9,
-        summary={
-            "pairs": len(rows),
-            "worst_residual": worst["alternating_residual"],
-        },
-        rows=rows,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

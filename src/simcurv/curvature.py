@@ -9,6 +9,10 @@ forms over (face, top-simplex) angle pairs and evaluated once against a
 shared angle cache.  Identical pairs therefore cancel exactly, and the
 reported standard error is the propagated error of the independent Monte
 Carlo estimates that actually remain in the combination.
+
+Every check (Gauss-Bonnet, vanishing, subdivision, Sommerville) runs the same
+pipeline: build the forms, fill the cache in one batch, evaluate, and decide
+each row with ``_verdict``.  The form class lives in ``simcurv.geometry``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable
 
 from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
-from simcurv.geometry import AngleCache, AngleConfig, EmbeddedComplex
+from simcurv.geometry import (
+    AngleCache,
+    AngleConfig,
+    CurvatureValue,
+    EmbeddedComplex,
+    _AngleForm,
+    _sommerville_forms,
+)
 from simcurv.sequences import angle_defect_term
 from simcurv.stratification import (
     StratumAssignment,
@@ -36,57 +48,6 @@ DEFAULT_ABS_TOL = 1e-9
 
 class HypothesisError(ValueError):
     """A theorem's hypothesis fails on the given complex."""
-
-
-@dataclass(frozen=True)
-class CurvatureValue:
-    value: float
-    std_error: float
-    exact: bool
-
-    def __post_init__(self):
-        if self.exact and self.std_error != 0.0:
-            raise ValueError("exact values carry no standard error")
-
-
-@dataclass
-class _AngleForm:
-    """const + sum(coeffs[pair] * angle(pair)) with exact rational weights."""
-
-    const: Fraction = Fraction(0)
-    coeffs: dict[tuple[Simplex, Simplex], Fraction] = field(default_factory=dict)
-
-    def add(self, other: "_AngleForm", scale: Fraction = Fraction(1)) -> None:
-        if scale == 0:
-            return
-        self.const += scale * other.const
-        for pair, c in other.coeffs.items():
-            new = self.coeffs.get(pair, Fraction(0)) + scale * c
-            if new == 0:
-                self.coeffs.pop(pair, None)
-            else:
-                self.coeffs[pair] = new
-
-    def evaluate(self, cache: AngleCache) -> CurvatureValue:
-        rational = self.const
-        float_part = 0.0
-        variance = 0.0
-        exact = True
-        for pair, coeff in self.coeffs.items():
-            angle = cache.angle(*pair)
-            if angle.rational is not None:
-                rational += coeff * angle.rational
-                continue
-            float_part += float(coeff) * angle.value
-            variance += (float(coeff) * angle.std_error) ** 2
-            if angle.method != "exact":
-                exact = False
-        return CurvatureValue(
-            float(rational) + float_part, math.sqrt(variance), exact and variance == 0.0
-        )
-
-    def pairs(self) -> list[tuple[Simplex, Simplex]]:
-        return sorted(self.coeffs)
 
 
 def _defect_form(
@@ -454,6 +415,56 @@ def subdivision_relation_check(
             "worst_residual": worst["residual"],
             "worst_simplex": worst["simplex"],
         },
+        rows=rows,
+    )
+
+
+def sommerville_check(
+    embedded: EmbeddedComplex,
+    cfg: AngleConfig | None = None,
+    cache: AngleCache | None = None,
+    z: float = DEFAULT_Z,
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> TheoremReport:
+    """Sommerville's identity, in both forms, for every top simplex sigma of
+    an odd-dimensional complex and every even face tau of dimension <= n - 2."""
+    complex = embedded.complex
+    n = complex.dim
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"sommerville check needs an odd dimension >= 3, got {n}")
+    book = _book(embedded, cfg, cache)
+    forms = []
+    pairs: set = set()
+    for sigma in complex.simplices(n):
+        for p in range(0, n - 1, 2):
+            for tau in combinations(sigma, p + 1):
+                alternating, defect = _sommerville_forms(sigma, tau)
+                forms.append((sigma, tau, alternating, defect))
+                pairs.update(alternating.coeffs, defect.coeffs)
+    book.fill(pairs)
+    rows = []
+    for sigma, tau, alternating, defect in forms:
+        alt = alternating.evaluate(book)
+        dev = defect.evaluate(book)
+        rows.append(
+            {
+                "sigma": list(sigma),
+                "tau": list(tau),
+                "alternating_residual": alt.value,
+                "alternating_std_error": alt.std_error,
+                "defect_residual": dev.value,
+                "defect_std_error": dev.std_error,
+                "pass": _verdict(alt.value, alt.std_error, alt.exact, z, abs_tol)
+                and _verdict(dev.value, dev.std_error, dev.exact, z, abs_tol),
+            }
+        )
+    worst = max(rows, key=lambda r: abs(r["alternating_residual"]))
+    return TheoremReport(
+        name="sommerville",
+        passed=all(r["pass"] for r in rows),
+        z_threshold=z,
+        abs_tol=abs_tol,
+        summary={"pairs": len(rows), "worst_residual": worst["alternating_residual"]},
         rows=rows,
     )
 

@@ -1,4 +1,4 @@
-"""Embedded complexes, normalized solid angles, Sommerville residuals, hulls.
+"""Embedded complexes, normalized solid angles, angle forms, Sommerville, hulls.
 
 Angles are normalized so the full unit sphere has measure 1 in every
 dimension.  The angle of a top simplex along one of its faces is computed
@@ -16,6 +16,13 @@ intrinsically in the affine hull of the simplex:
 Monte Carlo streams are counter-based: each (seed, face index, top index,
 block index) tuple keys an independent Philox stream, so results are
 reproducible bit-for-bit regardless of thread count or evaluation order.
+The membership count is the single numpy kernel in ``simcurv._kernels``.
+
+Linear combinations of angles are held as ``_AngleForm``s (an exact rational
+constant plus rational coefficients on (face, top-simplex) pairs) and
+evaluated against an ``AngleCache``.  Sommerville's identity is built from
+two such forms here; the curvatures and theorem checks in
+``simcurv.curvature`` build theirs from the same class.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -50,6 +57,8 @@ def default_thread_count() -> int:
     env = os.environ.get("ASC_CURV_THREADS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -67,10 +76,6 @@ class AngleConfig:
             raise ValueError("samples must be at least 1000")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
-
-    @property
-    def parallel(self) -> bool:
-        return self.resolved_threads() > 1
 
     def resolved_threads(self) -> int:
         return self.threads if self.threads else default_thread_count()
@@ -304,6 +309,54 @@ class AngleCache:
                 self._values[pair] = value
 
 
+@dataclass(frozen=True)
+class CurvatureValue:
+    value: float
+    std_error: float
+    exact: bool
+
+    def __post_init__(self):
+        if self.exact and self.std_error != 0.0:
+            raise ValueError("exact values carry no standard error")
+
+
+@dataclass
+class _AngleForm:
+    """const + sum(coeffs[pair] * angle(pair)) with exact rational weights."""
+
+    const: Fraction = Fraction(0)
+    coeffs: dict[tuple[Simplex, Simplex], Fraction] = field(default_factory=dict)
+
+    def add(self, other: "_AngleForm", scale: Fraction = Fraction(1)) -> None:
+        if scale == 0:
+            return
+        self.const += scale * other.const
+        for pair, c in other.coeffs.items():
+            new = self.coeffs.get(pair, Fraction(0)) + scale * c
+            if new == 0:
+                self.coeffs.pop(pair, None)
+            else:
+                self.coeffs[pair] = new
+
+    def evaluate(self, cache: AngleCache) -> CurvatureValue:
+        rational = self.const
+        float_part = 0.0
+        variance = 0.0
+        exact = True
+        for pair, coeff in self.coeffs.items():
+            angle = cache.angle(*pair)
+            if angle.rational is not None:
+                rational += coeff * angle.rational
+                continue
+            float_part += float(coeff) * angle.value
+            variance += (float(coeff) * angle.std_error) ** 2
+            if angle.method != "exact":
+                exact = False
+        return CurvatureValue(
+            float(rational) + float_part, math.sqrt(variance), exact and variance == 0.0
+        )
+
+
 def top_angle_pairs(complex: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
     """All (face, top-simplex) incidences, in canonical order."""
     pairs = []
@@ -315,6 +368,32 @@ def top_angle_pairs(complex: SimplicialComplex) -> list[tuple[Simplex, Simplex]]
 
 
 # -- Sommerville's alternating angle-sum identity ---------------------------
+
+
+def _sommerville_forms(sigma: Simplex, tau: Simplex) -> tuple[_AngleForm, _AngleForm]:
+    """The alternating and defect residuals of Sommerville's identity for the
+    odd n-simplex sigma and its even face tau (dim p <= n - 2), as forms."""
+    n = len(sigma) - 1
+    p = len(tau) - 1
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"simplex dimension must be odd and >= 3, got {n}")
+    if p % 2 == 1 or p > n - 2:
+        raise ValueError(f"face dimension must be even and <= {n - 2}, got {p}")
+    if not set(tau) <= set(sigma):
+        raise GeometryError(f"{tau} is not a face of {sigma}")
+    extra = [v for v in sigma if v not in tau]
+    alternating = _AngleForm(coeffs={(tau, sigma): Fraction(-2)})
+    defect = _AngleForm(
+        const=Fraction(n - p, 4) - Fraction(1, 2), coeffs={(tau, sigma): Fraction(1)}
+    )
+    for i in range(p + 1, n + 1):
+        sign = (-1) ** (i - p + 1)
+        for rest in combinations(extra, i - p):
+            eta = as_simplex(tau + rest)
+            alternating.coeffs[(eta, sigma)] = Fraction(sign)
+            if i <= n - 2:
+                defect.coeffs[(eta, sigma)] = Fraction((-1) ** i, 2)
+    return alternating, defect
 
 
 def sommerville_residuals(
@@ -335,53 +414,25 @@ def sommerville_residuals(
       - 1/2 sum_{i=p+1}^{n-2} (-1)^(i+1) sum_eta alpha(eta, sigma)
       minus (1/2 - (n-p)/4).
 
-    Returns a dict with both residuals and their propagated standard errors.
+    Angles are looked up lazily in the cache, one pair at a time.  Returns a
+    dict with both residuals and their propagated standard errors.
     """
     sigma = as_simplex(sigma)
     tau = as_simplex(tau)
-    n = len(sigma) - 1
-    p = len(tau) - 1
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"simplex dimension must be odd and >= 3, got {n}")
-    if p % 2 == 1 or p > n - 2:
-        raise ValueError(f"face dimension must be even and <= {n - 2}, got {p}")
-    if not set(tau) <= set(sigma):
-        raise GeometryError(f"{tau} is not a face of {sigma}")
+    alternating, defect = _sommerville_forms(sigma, tau)
     book = cache or AngleCache(embedded, cfg)
-
-    def faces_between(i: int) -> list[Simplex]:
-        extra = [v for v in sigma if v not in tau]
-        return [as_simplex(tau + rest) for rest in combinations(extra, i - p)]
-
-    alpha_tau = book.angle(tau, sigma)
-    lhs_alt = -2.0 * alpha_tau.value
-    var_alt = (2.0 * alpha_tau.std_error) ** 2
-    for i in range(p + 1, n + 1):
-        sign = (-1) ** (i - p + 1)
-        for eta in faces_between(i):
-            a = book.angle(eta, sigma)
-            lhs_alt += sign * a.value
-            var_alt += a.std_error**2
-
-    lhs_defect = alpha_tau.value
-    var_defect = alpha_tau.std_error**2
-    for i in range(p + 1, n - 1):
-        sign = (-1) ** (i + 1)
-        for eta in faces_between(i):
-            a = book.angle(eta, sigma)
-            lhs_defect -= 0.5 * sign * a.value
-            var_defect += (0.5 * a.std_error) ** 2
-    rhs_defect = Fraction(1, 2) - Fraction(n - p, 4)
-
+    alt = alternating.evaluate(book)
+    dev = defect.evaluate(book)
+    rhs_defect = -defect.const
     return {
         "sigma": sigma,
         "tau": tau,
-        "alternating_residual": lhs_alt,
-        "alternating_std_error": math.sqrt(var_alt),
-        "defect_lhs": lhs_defect,
+        "alternating_residual": alt.value,
+        "alternating_std_error": alt.std_error,
+        "defect_lhs": dev.value + float(rhs_defect),
         "defect_rhs": rhs_defect,
-        "defect_residual": lhs_defect - float(rhs_defect),
-        "defect_std_error": math.sqrt(var_defect),
+        "defect_residual": dev.value,
+        "defect_std_error": dev.std_error,
     }
 
 
@@ -392,10 +443,11 @@ def convex_hull_boundary(points: Sequence[Sequence[float]]) -> EmbeddedComplex:
     """Boundary complex of the convex hull of a small point set in R^d.
 
     Every d-subset spanning a hyperplane with all remaining points strictly
-    on one side becomes a facet.  Points are expected at unit scale; a point
-    within 1e-9 of a would-be supporting hyperplane raises
-    DegeneratePositionError (perturb the input).  Brute force: intended for
-    at most ~15 points.
+    on one side becomes a facet.  Tolerances are relative to the spread of
+    the points (the longest side of their bounding box), so the result does
+    not change under uniform scaling: a point within 1e-9 x spread of a
+    would-be supporting hyperplane raises DegeneratePositionError (perturb
+    the input).  Brute force: intended for at most ~15 points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -403,19 +455,21 @@ def convex_hull_boundary(points: Sequence[Sequence[float]]) -> EmbeddedComplex:
     m, d = pts.shape
     if m < d + 1:
         raise GeometryError(f"need at least {d + 1} points in R^{d}")
+    spread = float(np.ptp(pts, axis=0).max())
+    tol = DEGENERACY_TOL * spread
     facets: set[Simplex] = set()
     for subset in combinations(range(m), d):
         base = pts[subset[0]]
         span = pts[list(subset[1:])] - base
         u, s, vt = np.linalg.svd(span)
-        if s.min() <= _RANK_TOL * max(1.0, s.max()):
+        if s.min() <= _RANK_TOL * max(spread, s.max()):
             continue  # subset does not span a hyperplane
         normal = vt[-1]
         rest = [j for j in range(m) if j not in subset]
         offsets = (pts[rest] - base) @ normal
-        on_plane = np.abs(offsets) <= DEGENERACY_TOL
-        positive = offsets > DEGENERACY_TOL
-        negative = offsets < -DEGENERACY_TOL
+        on_plane = np.abs(offsets) <= tol
+        positive = offsets > tol
+        negative = offsets < -tol
         if not positive.any() or not negative.any():
             if on_plane.any():
                 culprit = [rest[j] for j in np.flatnonzero(on_plane)]

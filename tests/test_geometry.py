@@ -309,3 +309,31 @@ def test_wedge_angle_keeps_relative_precision(opening):
     angle = solid_angle((0,), (0, 1, 2), wedge)
     assert angle.method == "exact"
     assert angle.value == pytest.approx(opening / (2.0 * math.pi), rel=1e-7)
+
+
+def test_thread_count_follows_cpu_affinity(monkeypatch):
+    import os
+
+    from simcurv.geometry import default_thread_count
+
+    monkeypatch.delenv("ASC_CURV_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_thread_count() == 1
+    assert AngleConfig(samples=1000).resolved_threads() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_thread_count() == 8
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e6])
+def test_seven_point_hull_is_scale_invariant(scale):
+    hull = convex_hull_boundary(seven_point_configuration() * scale)
+    assert hull.complex.f_vector() == (7, 20, 30, 25, 10)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_hull_degeneracy_is_scale_invariant(scale):
+    # 1e-12 above the bottom edge is degenerate at every scale
+    square_plus_near_edge_point = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 1e-12]])
+    with pytest.raises(DegeneratePositionError):
+        convex_hull_boundary(square_plus_near_edge_point * scale)

@@ -1,0 +1,64 @@
+import json
+
+import pytest
+
+from simcurv import sommerville_check
+from simcurv import io as cio
+from simcurv.cli import main
+from simcurv.curvature import DEFAULT_Z
+from simcurv.generators import boundary_of_simplex, random_simplex
+from simcurv.geometry import AngleCache, AngleConfig, sommerville_residuals
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 1), (3, 2), (5, 3)])
+def test_check_rows_match_per_pair_residuals(dim, seed):
+    embedded = random_simplex(dim, seed=seed)
+    cfg = AngleConfig(samples=20_000, seed=seed, threads=2)
+    report = sommerville_check(embedded, cfg)
+    lazy = AngleCache(embedded, cfg)
+    expected_pairs = 4 if dim == 3 else 26
+    assert report.name == "sommerville"
+    assert report.summary["pairs"] == len(report.rows) == expected_pairs
+    for row in report.rows:
+        res = sommerville_residuals(row["sigma"], row["tau"], embedded, cache=lazy)
+        for form in ("alternating", "defect"):
+            value, sigma = res[f"{form}_residual"], res[f"{form}_std_error"]
+            assert abs(row[f"{form}_residual"] - value) <= 1e-15
+            assert row[f"{form}_std_error"] == sigma
+        old_rule = all(
+            abs(res[f"{form}_residual"]) <= max(DEFAULT_Z * res[f"{form}_std_error"], 1e-9)
+            for form in ("alternating", "defect")
+        )
+        assert row["pass"] == old_rule
+    worst = max(report.rows, key=lambda r: abs(r["alternating_residual"]))
+    assert report.summary["worst_residual"] == worst["alternating_residual"]
+    assert report.passed == all(r["pass"] for r in report.rows)
+
+
+def test_check_rejects_even_dimension():
+    with pytest.raises(ValueError, match="odd"):
+        sommerville_check(boundary_of_simplex(3), AngleConfig(samples=1000))
+
+
+def test_cli_sommerville_fails_at_tiny_z(capsys, tmp_path):
+    path = tmp_path / "tet.json"
+    path.write_text(json.dumps(cio.complex_to_dict(random_simplex(3, seed=4))))
+    code = main(
+        [
+            "verify",
+            "sommerville",
+            str(path),
+            "--samples",
+            "50000",
+            "--seed",
+            "7",
+            "--z-threshold",
+            "0.01",
+            "--format",
+            "json",
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["passed"] is False
+    assert payload["z_threshold"] == 0.01
