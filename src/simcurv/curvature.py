@@ -422,9 +422,7 @@ def subdivision_relation_check(
 def sommerville_check(
     embedded: EmbeddedComplex,
     cfg: AngleConfig | None = None,
-    cache: AngleCache | None = None,
     z: float = DEFAULT_Z,
-    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> TheoremReport:
     """Sommerville's identity, in both forms, for every top simplex sigma of
     an odd-dimensional complex and every even face tau of dimension <= n - 2."""
@@ -432,7 +430,7 @@ def sommerville_check(
     n = complex.dim
     if n % 2 == 0 or n < 3:
         raise ValueError(f"sommerville check needs an odd dimension >= 3, got {n}")
-    book = _book(embedded, cfg, cache)
+    book = AngleCache(embedded, cfg)
     forms = []
     pairs: set = set()
     for sigma in complex.simplices(n):
@@ -454,8 +452,8 @@ def sommerville_check(
                 "alternating_std_error": alt.std_error,
                 "defect_residual": dev.value,
                 "defect_std_error": dev.std_error,
-                "pass": _verdict(alt.value, alt.std_error, alt.exact, z, abs_tol)
-                and _verdict(dev.value, dev.std_error, dev.exact, z, abs_tol),
+                "pass": _verdict(alt.value, alt.std_error, alt.exact, z, DEFAULT_ABS_TOL)
+                and _verdict(dev.value, dev.std_error, dev.exact, z, DEFAULT_ABS_TOL),
             }
         )
     worst = max(rows, key=lambda r: abs(r["alternating_residual"]))
@@ -463,7 +461,7 @@ def sommerville_check(
         name="sommerville",
         passed=all(r["pass"] for r in rows),
         z_threshold=z,
-        abs_tol=abs_tol,
+        abs_tol=DEFAULT_ABS_TOL,
         summary={"pairs": len(rows), "worst_residual": worst["alternating_residual"]},
         rows=rows,
     )
