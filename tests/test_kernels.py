@@ -32,3 +32,12 @@ def test_count_treats_zero_coefficients_as_inside(c):
     hits = count_cone_hits(z, solve_t)
     assert hits == reference_count(z, solve_t)
     assert hits >= 50
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 50_000, 262_144])
+@pytest.mark.parametrize("c", range(1, 9))
+def test_count_matches_row_reduction_at_chunk_edges(rows, c):
+    rng = np.random.Generator(np.random.Philox(1000 * c + rows))
+    z = rng.standard_normal((rows, c))
+    solve_t = rng.standard_normal((c, c))
+    assert count_cone_hits(z, solve_t) == reference_count(z, solve_t)
