@@ -56,7 +56,13 @@ class DegeneratePositionError(GeometryError):
 def default_thread_count() -> int:
     env = os.environ.get("ASC_CURV_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"ASC_CURV_THREADS must be a positive integer, got {env!r}")
+        return threads
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
@@ -76,9 +82,11 @@ class AngleConfig:
             raise ValueError("samples must be at least 1000")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def resolved_threads(self) -> int:
-        return self.threads if self.threads else default_thread_count()
+        return self.threads if self.threads is not None else default_thread_count()
 
 
 @dataclass(frozen=True)
@@ -147,10 +155,10 @@ class EmbeddedComplex:
 def _affine_rank(points: np.ndarray) -> int:
     if len(points) <= 1:
         return 0
-    diffs = points[1:] - points[0]
-    scale = max(1.0, float(np.abs(diffs).max()))
-    s = np.linalg.svd(diffs, compute_uv=False)
-    return int((s > _RANK_TOL * scale).sum())
+    s = np.linalg.svd(points[1:] - points[0], compute_uv=False)
+    # relative to the largest singular value, so a shape's rank does not
+    # depend on its size
+    return int((s > _RANK_TOL * s[0]).sum())
 
 
 def _orthonormal_rows(vectors: np.ndarray, expect_rank: int) -> np.ndarray:
@@ -158,8 +166,7 @@ def _orthonormal_rows(vectors: np.ndarray, expect_rank: int) -> np.ndarray:
     if vectors.size == 0 or expect_rank == 0:
         return np.zeros((0, vectors.shape[1] if vectors.ndim == 2 else 0))
     u, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    scale = max(1.0, float(s[0]) if len(s) else 1.0)
-    rank = int((s > _RANK_TOL * scale).sum())
+    rank = int((s > _RANK_TOL * s[0]).sum())
     if rank != expect_rank:
         raise GeometryError(
             f"degenerate configuration: affine rank {rank}, expected {expect_rank}"
@@ -295,8 +302,8 @@ class AngleCache:
                 self._values[pair] = solid_angle(*pair, self.embedded, self.cfg)
             else:
                 todo.append(pair)
-        workers = self.cfg.resolved_threads()
-        if workers <= 1 or len(todo) <= 1:
+        workers = min(self.cfg.resolved_threads(), len(todo))
+        if workers <= 1:
             for eta, sigma in todo:
                 self.angle(eta, sigma)
             return

@@ -337,3 +337,72 @@ def test_hull_degeneracy_is_scale_invariant(scale):
     square_plus_near_edge_point = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 1e-12]])
     with pytest.raises(DegeneratePositionError):
         convex_hull_boundary(square_plus_near_edge_point * scale)
+
+
+RANK_SCALES = [1e-11, 1e-6, 1.0, 1e6]
+
+
+def _scaled(embedded, scale):
+    coords = {v: p * scale for v, p in embedded.coordinates.items()}
+    return EmbeddedComplex(embedded.complex, coords, embedded.ambient_dim)
+
+
+@pytest.mark.parametrize("scale", RANK_SCALES)
+def test_small_simplex_is_not_degenerate(scale):
+    # the rank tolerance is relative to the largest singular value, so a
+    # well-shaped simplex loads however small it is
+    tet = _scaled(random_simplex(3, seed=1), scale)
+    assert tet.complex.dim == 3
+
+
+def test_angles_do_not_depend_on_scale():
+    tet = random_simplex(3, seed=1)
+    sigma = (0, 1, 2, 3)
+    cfg = AngleConfig(samples=20_000, seed=9)
+    wedges, cones = [], []
+    for scale in RANK_SCALES:
+        scaled = _scaled(tet, scale)
+        wedges.append([solid_angle(e, sigma, scaled).value for e in combinations(sigma, 2)])
+        cones.append(solid_angle((0,), sigma, scaled, cfg))
+    for values in wedges[1:]:
+        assert values == pytest.approx(wedges[0], rel=1e-12, abs=0.0)
+    assert all(cone == cones[0] for cone in cones[1:])
+
+
+@pytest.mark.parametrize("scale", RANK_SCALES)
+def test_coplanar_tetrahedron_is_rejected_at_every_scale(scale):
+    coplanar = {0: (0.0, 0.0, 0.0), 1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.3, 0.4, 0.0)}
+    coords = {v: np.array(p) * scale for v, p in coplanar.items()}
+    with pytest.raises(GeometryError, match="affinely degenerate"):
+        EmbeddedComplex(SimplicialComplex([(0, 1, 2, 3)]), coords)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_non_positive_threads_are_rejected(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        AngleConfig(samples=1000, threads=threads)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_env_names_the_variable(monkeypatch, value):
+    from simcurv.geometry import default_thread_count
+
+    monkeypatch.setenv("ASC_CURV_THREADS", value)
+    with pytest.raises(ValueError, match="ASC_CURV_THREADS must be a positive integer"):
+        default_thread_count()
+
+
+def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
+    import simcurv.geometry as geometry
+
+    sizes = []
+
+    class RecordingPool(geometry.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", RecordingPool)
+    cache = AngleCache(solid_tet, AngleConfig(samples=1000, seed=1, threads=8))
+    cache.fill([((v,), (0, 1, 2, 3)) for v in range(3)])
+    assert sizes == [3]
