@@ -361,24 +361,26 @@ def test_non_finite_hull_point_exits_2_naming_the_vertex(capsys, tmp_path):
     assert "vertex 3 has a non-finite coordinate" in err
 
 
-def test_bad_thread_env_exits_2_naming_the_variable(capsys, monkeypatch, tmp_path):
+@pytest.fixture
+def sphere3_file(tmp_path):
     path = tmp_path / "dD4.json"
     with path.open("w") as handle:
         cio.dump_complex(boundary_of_simplex(4), handle)
+    return str(path)
+
+
+def test_bad_thread_env_exits_2_naming_the_variable(capsys, monkeypatch, sphere3_file):
     monkeypatch.setenv("ASC_CURV_THREADS", "abc")
-    code, out, err = run_cli(capsys, "verify", "gauss-bonnet", str(path), "--samples", "1000")
+    code, out, err = run_cli(capsys, "verify", "gauss-bonnet", sphere3_file, "--samples", "1000")
     assert code == 2
     assert out == ""
     assert "ASC_CURV_THREADS" in err and "'abc'" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_non_positive_threads_exit_2(capsys, tmp_path, threads):
-    path = tmp_path / "dD4.json"
-    with path.open("w") as handle:
-        cio.dump_complex(boundary_of_simplex(4), handle)
+def test_non_positive_threads_exit_2(capsys, sphere3_file, threads):
     code, out, err = run_cli(
-        capsys, "verify", "gauss-bonnet", str(path), "--samples", "1000", "--threads", threads
+        capsys, "verify", "gauss-bonnet", sphere3_file, "--samples", "1000", "--threads", threads
     )
     assert code == 2
     assert out == ""
