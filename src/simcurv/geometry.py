@@ -11,12 +11,19 @@ intrinsically in the affine hull of the simplex:
   wedges too, reported as exact);
 * codimension >= 3 -> Monte Carlo: project the opposite vertices onto the
   orthogonal complement of the face, then count isotropic Gaussian
-  directions falling inside the resulting simplicial cone.
+  directions falling inside the resulting simplicial cone C.  Each drawn
+  direction z is tested twice, as z in C and as z in -C (antithetic pairs;
+  C and -C are disjoint and have equal Gaussian measure), so N cone tests
+  cost N / 2 Gaussian vectors.  With p the angle, each vector contributes a
+  Bernoulli(2p) count, and the standard error of the estimate hits / N is
+  sqrt(p (1 - 2p) / N), below the one-sided sqrt(p (1 - p) / N), with a
+  floor of 1 / N.
 
 Monte Carlo streams are counter-based: each (seed, face index, top index,
-block index) tuple keys an independent Philox stream, so results are
-reproducible bit-for-bit regardless of thread count or evaluation order.
-The membership count is the single numpy kernel in ``simcurv._kernels``.
+block index) tuple keys an independent SFC64 stream through a
+``SeedSequence``, so results are reproducible bit-for-bit regardless of
+thread count or evaluation order.  The membership count is the single
+numpy kernel in ``simcurv._kernels``.
 
 Linear combinations of angles are held as ``_AngleForm``s (an exact rational
 constant plus rational coefficients on (face, top-simplex) pairs) and
@@ -70,7 +77,13 @@ def default_thread_count() -> int:
 
 @dataclass(frozen=True)
 class AngleConfig:
-    """Monte Carlo settings for solid-angle estimation."""
+    """Monte Carlo settings for solid-angle estimation.
+
+    ``samples`` counts cone tests per angle.  Each Gaussian vector gives two
+    (the cone and its mirror image), so an angle draws ceil(samples / 2)
+    vectors and reports ``AngleValue.samples`` = 2 ceil(samples / 2).
+    ``block_size`` counts the vectors drawn per stream block.
+    """
 
     samples: int = 1_000_000
     seed: int = 0
@@ -179,26 +192,34 @@ def _pair_stream(cfg: AngleConfig, eta_index: int, sigma_index: int, block: int)
         entropy=cfg.seed & (1 << 64) - 1,  # SeedSequence wants non-negative entropy
         spawn_key=(eta_index, sigma_index, block),
     )
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _estimate_cone_fraction(
     solve_t: np.ndarray, cfg: AngleConfig, eta_index: int, sigma_index: int
-) -> tuple[float, float]:
+) -> tuple[float, float, int]:
+    """Antithetic estimate of the cone's Gaussian measure p.
+
+    Returns (p, std_error, n), where n = 2 ceil(cfg.samples / 2) cone tests
+    were made on n / 2 Gaussian vectors.
+    """
     c = solve_t.shape[0]
+    vectors = -(-cfg.samples // 2)
     hits = 0
     done = 0
     block = 0
-    while done < cfg.samples:
-        size = min(cfg.block_size, cfg.samples - done)
+    while done < vectors:
+        size = min(cfg.block_size, vectors - done)
         rng = _pair_stream(cfg, eta_index, sigma_index, block)
-        z = rng.standard_normal((size, c))
-        hits += count_cone_hits(z, solve_t)
+        hits += count_cone_hits(rng.standard_normal((size, c)), solve_t)
         done += size
         block += 1
-    p = hits / cfg.samples
-    std_error = max(math.sqrt(p * (1.0 - p) / cfg.samples), 1.0 / cfg.samples)
-    return p, std_error
+    n = 2 * vectors
+    p = hits / n
+    # each vector adds a Bernoulli(2p) count, so var(hits / n) = p (1 - 2p) / n;
+    # only all-zero directions, counted in both cones, could push p past 1/2
+    std_error = max(math.sqrt(max(p * (1.0 - 2.0 * p), 0.0) / n), 1.0 / n)
+    return p, std_error, n
 
 
 def projected_cone_generators(
@@ -259,13 +280,13 @@ def solid_angle(
         solve_t = np.linalg.inv(generators.T).T
     except np.linalg.LinAlgError as exc:
         raise GeometryError(f"singular cone generators for ({eta}, {sigma})") from exc
-    value, std_error = _estimate_cone_fraction(
+    value, std_error, samples = _estimate_cone_fraction(
         solve_t,
         cfg,
         embedded.complex.index_of(eta),
         embedded.complex.index_of(sigma),
     )
-    return AngleValue(value, std_error, "monte_carlo", samples=cfg.samples)
+    return AngleValue(value, std_error, "monte_carlo", samples=samples)
 
 
 class AngleCache:

@@ -45,6 +45,23 @@ def parse_number(entry: Any) -> float:
     raise FileFormatError(f"expected a number or 'p/q' string, got {entry!r}")
 
 
+def _is_integer(entry: Any) -> bool:
+    # int() would truncate 1.7, true and "1" to 1, so only JSON integers pass
+    return isinstance(entry, int) and not isinstance(entry, bool)
+
+
+def _integer(entry: Any, what: str) -> int:
+    if not _is_integer(entry):
+        raise FileFormatError(f"{what} must be an integer, got {entry!r}")
+    return entry
+
+
+def _vertex_ids(entry: Any, what: str) -> Simplex:
+    if not isinstance(entry, list) or not all(_is_integer(v) for v in entry):
+        raise FileFormatError(f"{what} {entry!r} must be a list of integer vertex ids")
+    return as_simplex(entry)
+
+
 def _finite_row(i: int, row: Any) -> np.ndarray:
     point = np.array([parse_number(x) for x in row])
     if not np.isfinite(point).all():
@@ -68,7 +85,7 @@ def complex_to_dict(embedded: EmbeddedComplex) -> dict:
 def complex_from_dict(payload: dict) -> EmbeddedComplex:
     try:
         version = payload["version"]
-        ambient = int(payload["ambient_dim"])
+        ambient = _integer(payload["ambient_dim"], "ambient_dim")
         vertices = payload["vertices"]
         maximal = payload["maximal_simplices"]
     except (KeyError, TypeError) as exc:
@@ -82,11 +99,14 @@ def complex_from_dict(payload: dict) -> EmbeddedComplex:
                 f"vertex {i} has {len(row)} coordinates, expected {ambient}"
             )
         coords[i] = _finite_row(i, row)
+    simplices = []
     for m in maximal:
-        for v in m:
-            if not 0 <= int(v) < len(vertices):
+        simplex = _vertex_ids(m, "maximal simplex")
+        for v in simplex:
+            if not 0 <= v < len(vertices):
                 raise FileFormatError(f"simplex {m} references unknown vertex {v}")
-    complex = SimplicialComplex(maximal)
+        simplices.append(simplex)
+    complex = SimplicialComplex(simplices)
     return EmbeddedComplex(complex, coords, ambient)
 
 
@@ -94,7 +114,8 @@ def overrides_from_payload(payload: Any) -> dict[Simplex, int]:
     overrides = {}
     for entry in payload:
         try:
-            overrides[as_simplex(entry["simplex"])] = int(entry["r"])
+            simplex = _vertex_ids(entry["simplex"], "override simplex")
+            overrides[simplex] = _integer(entry["r"], "override rank r")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad override entry {entry!r}") from exc
     return overrides
@@ -129,7 +150,8 @@ def carrier_from_payload(payload: Any) -> dict[Simplex, Simplex]:
     carrier = {}
     for entry in payload:
         try:
-            carrier[as_simplex(entry["simplex"])] = as_simplex(entry["carrier"])
+            simplex = _vertex_ids(entry["simplex"], "carrier entry simplex")
+            carrier[simplex] = _vertex_ids(entry["carrier"], "carrier")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad carrier entry {entry!r}") from exc
     return carrier

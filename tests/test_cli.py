@@ -385,3 +385,39 @@ def test_non_positive_threads_exit_2(capsys, sphere3_file, threads):
     assert code == 2
     assert out == ""
     assert f"threads must be at least 1, got {threads}" in err
+
+
+@pytest.mark.parametrize("bad_id", [1.7, True, "1"])
+def test_non_integer_vertex_id_exits_2(capsys, tmp_path, bad_id):
+    # int() used to read [0, 1.7, 2] as the triangle [0, 1, 2]
+    payload = {
+        "version": 1,
+        "ambient_dim": 2,
+        "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        "maximal_simplices": [[0, bad_id, 2]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert out == ""
+    assert "must be a list of integer vertex ids" in err
+
+
+@pytest.mark.parametrize("bad_r", [1.7, True, "1"])
+def test_non_integer_override_rank_exits_2(capsys, tmp_path, bad_r):
+    path = tmp_path / "book.json"
+    with path.open("w") as handle:
+        cio.dump_complex(triple_book(), handle)
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps([{"simplex": [0, 3], "r": bad_r}]))
+    code, out, err = run_cli(capsys, "strata", str(path), "--overrides", str(over))
+    assert code == 2
+    assert out == ""
+    assert "bad override entry" in err
+    payload = cio.complex_to_dict(triple_book())
+    payload["rank_overrides"] = [{"simplex": [0, 3], "r": bad_r}]
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "strata", str(path))
+    assert code == 2
+    assert "bad override entry" in err

@@ -406,3 +406,47 @@ def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
     cache = AngleCache(solid_tet, AngleConfig(samples=1000, seed=1, threads=8))
     cache.fill([((v,), (0, 1, 2, 3)) for v in range(3)])
     assert sizes == [3]
+
+
+# -- the antithetic estimator -------------------------------------------------
+
+
+@pytest.mark.parametrize("c", range(2, 7))
+def test_orthant_fraction_within_four_sigma(c):
+    from simcurv.geometry import _estimate_cone_fraction
+
+    p, std_error, n = _estimate_cone_fraction(np.eye(c), AngleConfig(samples=200_000, seed=c), 0, 0)
+    assert n == 200_000
+    assert abs(p - 2.0**-c) < 4 * std_error
+
+
+def test_half_line_fraction_is_exactly_one_half():
+    # at c = 1 every nonzero direction lies in exactly one of C and -C
+    from simcurv.geometry import _estimate_cone_fraction
+
+    p, std_error, n = _estimate_cone_fraction(np.array([[1.7]]), AngleConfig(samples=10_001, seed=3), 0, 0)
+    assert p == 0.5
+    assert n == 10_002
+    assert std_error == 1.0 / n
+
+
+@pytest.mark.parametrize("simplex_seed", [0, 4])  # vertex angles 0.126 and 0.0042
+def test_z_scores_against_oracle_have_unit_spread(simplex_seed):
+    tet = random_simplex(3, seed=simplex_seed)
+    pts = tet.points((0, 1, 2, 3))
+    oracle = van_oosterom_strackee(*(pts[i] - pts[0] for i in (1, 2, 3)))
+    z = [
+        (est.value - oracle) / est.std_error
+        for est in (
+            solid_angle((0,), (0, 1, 2, 3), tet, AngleConfig(samples=20_000, seed=seed))
+            for seed in range(200)
+        )
+    ]
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
+    assert abs(np.mean(z)) < 0.3
+
+
+def test_odd_sample_count_rounds_up_to_whole_pairs(solid_tet):
+    angle = solid_angle((0,), (0, 1, 2, 3), solid_tet, AngleConfig(samples=1001, seed=1))
+    assert angle.method == "monte_carlo"
+    assert angle.samples == 1002

@@ -76,3 +76,30 @@ def test_non_finite_coordinates_rejected(bad_value):
     points = io.StringIO(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0], [bad_value, 1.0]]}))
     with pytest.raises(cio.FileFormatError, match="vertex 2 has a non-finite coordinate"):
         cio.load_points(points)
+
+
+@pytest.mark.parametrize("bad_id", [1.7, 1.0, True, "1"])
+def test_non_integer_vertex_ids_rejected(bad_id):
+    doc = payload()
+    doc["maximal_simplices"] = [[0, bad_id, 2]]
+    with pytest.raises(cio.FileFormatError, match=r"maximal simplex \[0, .*, 2\] must be a list of integer"):
+        cio.complex_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad_r", [1.7, True, "1"])
+def test_non_integer_override_rank_rejected(bad_r):
+    entry = {"simplex": [0, 1], "r": bad_r}
+    with pytest.raises(cio.FileFormatError, match="bad override entry") as info:
+        cio.overrides_from_payload([entry])
+    assert repr(entry) in str(info.value)
+    with pytest.raises(cio.FileFormatError, match="bad override entry"):
+        cio.overrides_from_payload([{"simplex": [0, 1.5], "r": 1}])
+
+
+def test_non_integer_ambient_dim_and_carrier_ids_rejected():
+    doc = payload()
+    doc["ambient_dim"] = 2.5
+    with pytest.raises(cio.FileFormatError, match="ambient_dim must be an integer"):
+        cio.complex_from_dict(doc)
+    with pytest.raises(cio.FileFormatError, match="bad carrier entry"):
+        cio.carrier_from_payload([{"simplex": [0, 1], "carrier": [0, 1.2, 2]}])

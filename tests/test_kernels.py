@@ -5,7 +5,8 @@ from simcurv._kernels import count_cone_hits
 
 
 def reference_count(z: np.ndarray, solve_t: np.ndarray) -> int:
-    return int(((z @ solve_t) >= 0).all(axis=1).sum())
+    m = z @ solve_t
+    return int((m >= 0).all(1).sum() + (m <= 0).all(1).sum())
 
 
 @pytest.mark.parametrize("c", range(1, 7))
@@ -41,3 +42,18 @@ def test_count_matches_row_reduction_at_chunk_edges(rows, c):
     z = rng.standard_normal((rows, c))
     solve_t = rng.standard_normal((c, c))
     assert count_cone_hits(z, solve_t) == reference_count(z, solve_t)
+
+
+def test_half_line_counts_each_nonzero_row_once():
+    # at c = 1 a nonzero row lies in exactly one of C and -C; a zero row
+    # (0.0 or -0.0) lies on both closed half-lines and is counted twice
+    rng = np.random.Generator(np.random.Philox(7))
+    z = rng.standard_normal((10_000, 1))
+    solve_t = np.array([[0.8]])
+    assert count_cone_hits(z, solve_t) == len(z)
+    assert count_cone_hits(z, -solve_t) == len(z)
+    z[::7] = 0.0
+    z[3::7] = -0.0
+    zeros = int(np.count_nonzero(z == 0.0))
+    assert zeros > 0
+    assert count_cone_hits(z, solve_t) == len(z) + zeros == reference_count(z, solve_t)
