@@ -41,6 +41,7 @@ from simcurv.curvature import (
     carrier_alternating_sum,
     carrier_alternating_sum_check,
     cone_vertex_curvature_factor,
+    curvature_table,
     gauss_bonnet_check,
     generalized_angle_defect,
     sommerville_check,
@@ -86,6 +87,7 @@ __all__ = [
     "carrier_lookup",
     "cone_vertex_curvature_factor",
     "convex_hull_boundary",
+    "curvature_table",
     "gauss_bonnet_check",
     "generalized_angle_defect",
     "join_complexes",

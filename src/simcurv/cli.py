@@ -16,15 +16,12 @@ import sys
 from fractions import Fraction
 
 from simcurv import generators, io, sequences
-from simcurv.complexes import as_simplex
 from simcurv.curvature import (
     HypothesisError,
     TheoremReport,
-    ascending_stratified_curvature,
+    curvature_table,
     gauss_bonnet_check,
-    generalized_angle_defect,
     sommerville_check,
-    stratified_curvature_at_vertex,
     subdivision_relation_check,
     vanishing_check,
 )
@@ -121,6 +118,8 @@ def _cell(value) -> str:
 
 
 def _cmd_sequence(args) -> int:
+    if args.up_to < 0:
+        raise _CliError(f"--up-to must be at least 0, got {args.up_to}")
     for n in range(args.up_to + 1):
         print(f"a_{n} = {format_fraction(sequences.angle_defect_term(n))}")
     if args.check:
@@ -271,43 +270,14 @@ def _cmd_angles(args) -> int:
 def _cmd_curvature(args) -> int:
     embedded, overrides = _read_complex(args.complex)
     assignment = stratify(embedded.complex, overrides)
-    cache = AngleCache(embedded, _angle_config(args))
-    rows = []
-    if args.kind == "stratified":
-        targets = [(v,) for v in embedded.complex.vertices()]
-        compute = lambda s: stratified_curvature_at_vertex(
-            s[0], embedded, assignment, cache=cache
-        )
-    elif args.kind == "defect":
-        targets = list(embedded.complex.simplices())
-        compute = lambda s: generalized_angle_defect(
-            s, embedded, assignment, cache=cache
-        )
-    else:
-        targets = list(embedded.complex.simplices())
-        compute = lambda s: ascending_stratified_curvature(
-            s, embedded, assignment, cache=cache
-        )
-    for simplex in targets:
-        cv = compute(simplex)
-        rows.append(
-            {
-                "simplex": list(simplex),
-                "value": cv.value,
-                "std_error": cv.std_error,
-                "exact": cv.exact,
-            }
-        )
+    rows = [
+        {"simplex": list(s), "value": cv.value, "std_error": cv.std_error, "exact": cv.exact}
+        for s, cv in curvature_table(embedded, args.kind, assignment, _angle_config(args))
+    ]
     if args.format == "json":
         print(json.dumps(json_ready({"kind": args.kind, "rows": rows}), indent=2))
     else:
-        _print_table(
-            ["simplex", "value", "std_error", "exact"],
-            [
-                [_cell(r["simplex"]), _cell(r["value"]), _cell(r["std_error"]), str(r["exact"])]
-                for r in rows
-            ],
-        )
+        _print_table(list(rows[0]), [[_cell(v) for v in r.values()] for r in rows])
     return EXIT_OK
 
 
@@ -332,9 +302,9 @@ def _cmd_subdivide(args) -> int:
         pair = barycentric_subdivide(embedded)
     else:
         try:
-            simplex = as_simplex(json.loads(args.stellar))
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise _CliError(f"--stellar expects a JSON vertex list: {exc}") from exc
+            simplex = io._vertex_ids(json.loads(args.stellar), "value")
+        except ValueError as exc:
+            raise _CliError(f"--stellar {args.stellar}: {exc}") from exc
         try:
             pair = stellar_subdivide(embedded, simplex)
         except KeyError as exc:

@@ -10,9 +10,10 @@ shared angle cache.  Identical pairs therefore cancel exactly, and the
 reported standard error is the propagated error of the independent Monte
 Carlo estimates that actually remain in the combination.
 
-Every check (Gauss-Bonnet, vanishing, subdivision, Sommerville) runs the same
-pipeline: build the forms, fill the cache in one batch, evaluate, and decide
-each row with ``_verdict``.  The form class lives in ``simcurv.geometry``.
+Every curvature and every check (Gauss-Bonnet, vanishing, subdivision,
+Sommerville) builds its forms and hands them to ``_evaluate``, which fills
+the cache with all their pairs in one batch and evaluates each form; checks
+decide each row with ``_verdict``.  The form class lives in ``simcurv.geometry``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _ascending_form(
     tau: Simplex,
     complex: SimplicialComplex,
     assignment: StratumAssignment,
-    weights: WeightFn,
+    weights: WeightFn = angle_defect_term,
 ) -> _AngleForm:
     p = len(tau) - 1
     a_p = weights(p)
@@ -80,6 +81,20 @@ def _ascending_form(
     return form
 
 
+def _stratified_form(
+    v: Simplex, complex: SimplicialComplex, assignment: StratumAssignment
+) -> _AngleForm:
+    form = _AngleForm()
+    for eta in complex.star(v):
+        i = len(eta) - 1
+        if i <= complex.dim - 2:
+            form.add(_defect_form(eta, complex, assignment), Fraction((-1) ** i, i + 1))
+    return form
+
+
+_FORMS = {"defect": _defect_form, "stratified": _stratified_form, "ascending": _ascending_form}
+
+
 def _require_assignment(
     embedded: EmbeddedComplex, assignment: StratumAssignment | None
 ) -> StratumAssignment:
@@ -90,12 +105,11 @@ def _require_assignment(
     return assignment
 
 
-def _book(
-    embedded: EmbeddedComplex, cfg: AngleConfig | None, cache: AngleCache | None
-) -> AngleCache:
-    if cache is not None:
-        return cache
-    return AngleCache(embedded, cfg)
+def _evaluate(book: AngleCache, forms: dict) -> dict:
+    """Fill ``book`` with every pair of every form in one batch, then
+    evaluate each form; the result is keyed like ``forms``."""
+    book.fill({pair for form in forms.values() for pair in form.coeffs})
+    return {key: form.evaluate(book) for key, form in forms.items()}
 
 
 # -- the three curvatures ----------------------------------------------------
@@ -115,7 +129,7 @@ def generalized_angle_defect(
     eta = as_simplex(eta)
     assignment = _require_assignment(embedded, assignment)
     form = _defect_form(eta, embedded.complex, assignment)
-    return form.evaluate(_book(embedded, cfg, cache))
+    return _evaluate(cache or AngleCache(embedded, cfg), {eta: form})[eta]
 
 
 def stratified_curvature_at_vertex(
@@ -129,14 +143,8 @@ def stratified_curvature_at_vertex(
     (-1)^i / (i+1) per dimension i."""
     v = as_simplex([vertex])
     assignment = _require_assignment(embedded, assignment)
-    complex = embedded.complex
-    form = _AngleForm()
-    for eta in complex.star(v):
-        i = len(eta) - 1
-        if i > complex.dim - 2:
-            continue
-        form.add(_defect_form(eta, complex, assignment), Fraction((-1) ** i, i + 1))
-    return form.evaluate(_book(embedded, cfg, cache))
+    form = _stratified_form(v, embedded.complex, assignment)
+    return _evaluate(cache or AngleCache(embedded, cfg), {v: form})[v]
 
 
 def ascending_stratified_curvature(
@@ -156,7 +164,26 @@ def ascending_stratified_curvature(
     tau = as_simplex(tau)
     assignment = _require_assignment(embedded, assignment)
     form = _ascending_form(tau, embedded.complex, assignment, weights)
-    return form.evaluate(_book(embedded, cfg, cache))
+    return _evaluate(cache or AngleCache(embedded, cfg), {tau: form})[tau]
+
+
+def curvature_table(
+    embedded: EmbeddedComplex,
+    kind: str,
+    assignment: StratumAssignment | None = None,
+    cfg: AngleConfig | None = None,
+) -> list[tuple[Simplex, CurvatureValue]]:
+    """One curvature for the whole complex, from one batch fill: the
+    generalized angle defect ("defect") or the ascending curvature
+    ("ascending") of every simplex, or the stratified curvature
+    ("stratified") of every vertex, in canonical order."""
+    if kind not in _FORMS:
+        raise ValueError(f"unknown curvature kind {kind!r}; expected {', '.join(_FORMS)}")
+    complex = embedded.complex
+    assignment = _require_assignment(embedded, assignment)
+    targets = complex.simplices(0 if kind == "stratified" else None)
+    forms = {s: _FORMS[kind](s, complex, assignment) for s in targets}
+    return list(_evaluate(AngleCache(embedded, cfg), forms).items())
 
 
 def cone_vertex_curvature_factor(link_f_vector: Iterable[int]) -> Fraction:
@@ -227,18 +254,13 @@ def gauss_bonnet_check(
     if complex.dim < 2:
         raise ValueError("Gauss-Bonnet check needs dimension >= 2")
     assignment = _require_assignment(embedded, assignment)
-    book = _book(embedded, cfg, cache)
+    forms = {tau: _ascending_form(tau, complex, assignment, weights) for tau in complex.simplices()}
     total = _AngleForm()
-    forms = []
-    pairs: set = set()
-    for tau in complex.simplices():
-        form = _ascending_form(tau, complex, assignment, weights)
-        forms.append((tau, form))
+    for tau, form in forms.items():
         total.add(form, Fraction(-1) ** (len(tau) - 1))
-        pairs.update(form.coeffs)
-    book.fill(pairs)
-    rows = [_row(tau, form.evaluate(book), z, abs_tol) for tau, form in forms]
-    lhs = total.evaluate(book)
+    values = _evaluate(cache or AngleCache(embedded, cfg), {**forms, "total": total})
+    lhs = values.pop("total")
+    rows = [_row(tau, cv, z, abs_tol) for tau, cv in values.items()]
     rhs = stratified_euler_characteristic(complex, assignment)
     residual = lhs.value - float(rhs)
     passed = _verdict(residual, lhs.std_error, lhs.exact, z, abs_tol)
@@ -301,19 +323,11 @@ def vanishing_check(
             f"link hypothesis fails on {len(violations)} simplices: {violations[:5]}"
         )
     assignment = _require_assignment(embedded, assignment)
-    book = _book(embedded, cfg, cache)
-    forms = []
-    pairs: set = set()
-    for tau in complex.simplices():
-        form = _ascending_form(tau, complex, assignment, angle_defect_term)
-        forms.append((tau, form))
-        pairs.update(form.coeffs)
-    book.fill(pairs)
+    forms = {tau: _ascending_form(tau, complex, assignment) for tau in complex.simplices()}
     rows = []
     exact_failures = 0
-    for tau, form in forms:
+    for tau, cv in _evaluate(cache or AngleCache(embedded, cfg), forms).items():
         p = len(tau) - 1
-        cv = form.evaluate(book)
         row = _row(tau, cv, z, abs_tol)
         analytic_zero = p % 2 == 1 or p >= complex.dim - 1
         row["analytic_zero"] = analytic_zero
@@ -357,9 +371,6 @@ def subdivision_relation_check(
     refined = pair.refined
     base_assignment = _require_assignment(base, base_assignment)
     refined_assignment = _require_assignment(refined, refined_assignment)
-    base_book = _book(base, cfg, base_cache)
-    refined_book = _book(refined, cfg, refined_cache)
-
     refined_forms = {
         tau: _ascending_form(tau, refined.complex, refined_assignment, weights)
         for tau in refined.complex.simplices()
@@ -368,20 +379,15 @@ def subdivision_relation_check(
         zeta: _ascending_form(zeta, base.complex, base_assignment, weights)
         for zeta in set(pair.carrier.values())
     }
-    refined_book.fill({p for f in refined_forms.values() for p in f.coeffs})
-    base_book.fill({p for f in base_forms.values() for p in f.coeffs})
-
-    base_values: dict[Simplex, CurvatureValue] = {
-        zeta: form.evaluate(base_book) for zeta, form in base_forms.items()
-    }
+    refined_values = _evaluate(refined_cache or AngleCache(refined, cfg), refined_forms)
+    base_values = _evaluate(base_cache or AngleCache(base, cfg), base_forms)
     rows = []
-    for tau in refined.complex.simplices():
+    for tau, left in refined_values.items():
         s = len(tau) - 1
         zeta = pair.carrier[tau]
         p = len(zeta) - 1
         a_p = weights(p)
         a_s = weights(s)
-        left = refined_forms[tau].evaluate(refined_book)
         right = base_values[zeta]
         residual = float(a_p) * left.value - float(a_s) * right.value
         std_error = math.hypot(float(a_p) * left.std_error, float(a_s) * right.std_error)
@@ -430,20 +436,19 @@ def sommerville_check(
     n = complex.dim
     if n % 2 == 0 or n < 3:
         raise ValueError(f"sommerville check needs an odd dimension >= 3, got {n}")
-    book = AngleCache(embedded, cfg)
-    forms = []
-    pairs: set = set()
-    for sigma in complex.simplices(n):
-        for p in range(0, n - 1, 2):
-            for tau in combinations(sigma, p + 1):
-                alternating, defect = _sommerville_forms(sigma, tau)
-                forms.append((sigma, tau, alternating, defect))
-                pairs.update(alternating.coeffs, defect.coeffs)
-    book.fill(pairs)
+    faces = [
+        (sigma, tau)
+        for sigma in complex.simplices(n)
+        for p in range(0, n - 1, 2)
+        for tau in combinations(sigma, p + 1)
+    ]
+    forms = {}
+    for sigma, tau in faces:
+        forms[sigma, tau, "alt"], forms[sigma, tau, "dev"] = _sommerville_forms(sigma, tau)
+    values = _evaluate(AngleCache(embedded, cfg), forms)
     rows = []
-    for sigma, tau, alternating, defect in forms:
-        alt = alternating.evaluate(book)
-        dev = defect.evaluate(book)
+    for sigma, tau in faces:
+        alt, dev = values[sigma, tau, "alt"], values[sigma, tau, "dev"]
         rows.append(
             {
                 "sigma": list(sigma),

@@ -23,11 +23,30 @@ from simcurv.geometry import DEGENERACY_TOL, EmbeddedComplex, GeometryError
 @dataclass
 class SubdivisionPair:
     """A base complex, a refinement covering the same point set, and the
-    carrier map from refined simplices to base simplices."""
+    carrier map from refined simplices to base simplices.
+
+    Construction raises ValueError unless the carrier map has exactly the
+    refined simplices as keys and only base simplices as values."""
 
     base: EmbeddedComplex
     refined: EmbeddedComplex
     carrier: dict[Simplex, Simplex]
+
+    def __post_init__(self):
+        refined = self.refined.complex
+        for tau in refined.simplices():
+            if tau not in self.carrier:
+                raise ValueError(f"refined simplex {list(tau)} has no carrier entry")
+            zeta = self.carrier[tau]
+            if zeta not in self.base.complex:
+                raise ValueError(
+                    f"carrier {list(zeta)} of {list(tau)} is not a simplex of the base complex"
+                )
+        for tau in self.carrier:
+            if tau not in refined:
+                raise ValueError(
+                    f"carrier entry for {list(tau)}, which is not a simplex of the refined complex"
+                )
 
 
 def _barycentric_coordinates(

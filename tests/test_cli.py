@@ -317,25 +317,31 @@ def test_seed_and_thread_determinism(capsys, tmp_path):
     path = tmp_path / "dD4.json"
     with path.open("w") as handle:
         cio.dump_complex(boundary_of_simplex(4), handle)
-    outputs = []
-    for threads in ("1", "3"):
-        code, out, _ = run_cli(
-            capsys,
-            "verify",
-            "gauss-bonnet",
-            str(path),
-            "--samples",
-            "20000",
-            "--seed",
-            "9",
-            "--threads",
-            threads,
-            "--format",
-            "json",
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+    commands = [
+        ["verify", "gauss-bonnet", str(path)],
+        ["curvature", str(path), "--kind", "defect"],
+        ["curvature", str(path), "--kind", "stratified"],
+        ["curvature", str(path), "--kind", "ascending"],
+        ["angles", str(path)],
+    ]
+    for command in commands:
+        outputs = []
+        for threads in ("1", "3"):
+            code, out, _ = run_cli(
+                capsys,
+                *command,
+                "--samples",
+                "20000",
+                "--seed",
+                "9",
+                "--threads",
+                threads,
+                "--format",
+                "json",
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1], command
 
 
 @pytest.mark.parametrize("bad_value", [float("nan"), float("inf"), float("-inf")])
@@ -421,3 +427,57 @@ def test_non_integer_override_rank_exits_2(capsys, tmp_path, bad_r):
     code, out, err = run_cli(capsys, "strata", str(path))
     assert code == 2
     assert "bad override entry" in err
+
+
+def test_sequence_rejects_negative_up_to(capsys):
+    code, out, err = run_cli(capsys, "sequence", "--up-to", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--up-to must be at least 0, got -3" in err
+
+
+@pytest.mark.parametrize("value", ["5", "null", "[0.7, 1]"])
+def test_subdivide_rejects_non_vertex_list_stellar(capsys, tmp_path, value):
+    # [0.7, 1] used to be truncated to the edge [0, 1]
+    path = tmp_path / "dD3.json"
+    with path.open("w") as handle:
+        cio.dump_complex(boundary_of_simplex(3), handle)
+    code, out, err = run_cli(capsys, "subdivide", str(path), "--stellar", value)
+    assert code == 2
+    assert out == ""
+    assert f"--stellar {value}:" in err and "integer vertex ids" in err
+
+
+def test_verify_subdivision_rejects_carrier_outside_base(capsys, tmp_path):
+    # a_1 = 0, so the carrier of an edge never enters a form; it must still
+    # be a simplex of the base
+    base_path = tmp_path / "dD3.json"
+    with base_path.open("w") as handle:
+        cio.dump_complex(boundary_of_simplex(3), handle)
+    carrier_path = tmp_path / "carrier.json"
+    code, out, _ = run_cli(
+        capsys, "subdivide", str(base_path), "--barycentric", "--carrier-out", str(carrier_path)
+    )
+    assert code == 0
+    refined_path = tmp_path / "refined.json"
+    refined_path.write_text(out)
+    entries = json.loads(carrier_path.read_text())
+    for entry in entries:
+        if entry["simplex"] == [0, 4]:
+            entry["carrier"] = [0, 9]
+    carrier_path.write_text(json.dumps(entries))
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "subdivision",
+        str(refined_path),
+        "--base",
+        str(base_path),
+        "--carrier",
+        str(carrier_path),
+        "--samples",
+        "2000",
+    )
+    assert code == 2
+    assert out == ""
+    assert "carrier [0, 9] of [0, 4] is not a simplex of the base complex" in err

@@ -11,6 +11,7 @@ from simcurv.curvature import (
     carrier_alternating_sum_check,
     carrier_alternating_sums_hold,
     cone_vertex_curvature_factor,
+    curvature_table,
     gauss_bonnet_check,
     generalized_angle_defect,
     stratified_curvature_at_vertex,
@@ -254,3 +255,32 @@ def test_sommerville_negative_control(solid_tet):
     report = sommerville_residuals((0, 1, 2, 3), (0,), solid_tet, CFG)
     broken = report["alternating_residual"] + 3 * 0.5  # drop the facet layer
     assert abs(broken) > 4 * report["alternating_std_error"]
+
+
+def test_curvature_table_threaded_matches_per_simplex_functions(sphere3):
+    # one threaded batch fill gives the serial per-simplex values bit for bit
+    assignment = stratify(sphere3.complex)
+    serial = AngleConfig(samples=4000, seed=5, threads=1)
+    threaded = AngleConfig(samples=4000, seed=5, threads=2)
+    per_simplex = {
+        "defect": lambda s: generalized_angle_defect(s, sphere3, assignment, serial),
+        "stratified": lambda s: stratified_curvature_at_vertex(s[0], sphere3, assignment, serial),
+        "ascending": lambda s: ascending_stratified_curvature(s, sphere3, assignment, serial),
+    }
+    for kind, compute in per_simplex.items():
+        table = curvature_table(sphere3, kind, assignment, threaded)
+        targets = sphere3.complex.simplices(0 if kind == "stratified" else None)
+        assert [s for s, _ in table] == list(targets)
+        assert any(not cv.exact for _, cv in table)  # Monte Carlo angles took part
+        for simplex, cv in table:
+            expected = compute(simplex)
+            assert (cv.value, cv.std_error, cv.exact) == (
+                expected.value,
+                expected.std_error,
+                expected.exact,
+            )
+
+
+def test_curvature_table_rejects_unknown_kind(sphere2):
+    with pytest.raises(ValueError, match="defect, stratified, ascending"):
+        curvature_table(sphere2, "gaussian")

@@ -8,6 +8,7 @@ from simcurv.complexes import SimplicialComplex
 from simcurv.generators import boundary_of_simplex, solid_simplex, triple_book
 from simcurv.geometry import EmbeddedComplex, GeometryError
 from simcurv.subdivision import (
+    SubdivisionPair,
     barycentric_subdivide,
     carrier_lookup,
     compute_carriers,
@@ -214,3 +215,24 @@ def test_uncovered_refinement_names_first_uncovered_simplex(sphere2):
             sphere2,
             EmbeddedComplex(sphere2.complex, {v: 2 * p for v, p in sphere2.coordinates.items()}),
         )
+
+
+@pytest.mark.parametrize(
+    "tau, zeta, message",
+    [
+        # a_1 = 0, so the check never builds this carrier's form
+        ((0, 4), (0, 9), "carrier [0, 9] of [0, 4] is not a simplex of the base"),
+        ((0, 4, 10), (0, 1, 9), "carrier [0, 1, 9] of [0, 4, 10] is not a simplex of the base"),
+        ((0, 5), None, "refined simplex [0, 5] has no carrier entry"),
+        ((0, 99), (0,), "entry for [0, 99], which is not a simplex of the refined"),
+    ],
+)
+def test_subdivision_pair_rejects_bad_carrier(sphere2, tau, zeta, message):
+    pair = barycentric_subdivide(sphere2)
+    carrier = dict(pair.carrier)
+    if zeta is None:
+        del carrier[tau]
+    else:
+        carrier[tau] = zeta
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SubdivisionPair(pair.base, pair.refined, carrier)
