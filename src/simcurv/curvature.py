@@ -51,12 +51,30 @@ class HypothesisError(ValueError):
     """A theorem's hypothesis fails on the given complex."""
 
 
+def _add_defects(
+    form: _AngleForm,
+    eta: Simplex,
+    scale: Fraction,
+    complex: SimplicialComplex,
+    assignment: StratumAssignment,
+) -> None:
+    """Add ``scale`` times the angle defect of eta (rank(eta) minus the angles
+    of its top cofaces) to ``form``.
+
+    None of eta's pairs may be in the form yet: each coefficient is written,
+    not merged through ``_AngleForm.add``, in the order ``add`` would insert
+    it, so evaluation sums the same floats in the same order.
+    """
+    form.const += scale * assignment.rank(eta)
+    for sigma in complex.top_cofaces(eta):
+        form.coeffs[(eta, sigma)] = -scale
+
+
 def _defect_form(
     eta: Simplex, complex: SimplicialComplex, assignment: StratumAssignment
 ) -> _AngleForm:
-    form = _AngleForm(const=assignment.rank(eta))
-    for sigma in complex.top_cofaces(eta):
-        form.coeffs[(eta, sigma)] = form.coeffs.get((eta, sigma), Fraction(0)) - 1
+    form = _AngleForm()
+    _add_defects(form, eta, Fraction(1), complex, assignment)
     return form
 
 
@@ -71,13 +89,11 @@ def _ascending_form(
     form = _AngleForm()
     if a_p == 0:
         return form
-    form.add(_defect_form(tau, complex, assignment), a_p)
+    _add_defects(form, tau, a_p, complex, assignment)
     for eta in complex.star(tau):
         i = len(eta) - 1
-        if i <= p:
-            continue
-        sign = Fraction(-1) ** (i - p)
-        form.add(_defect_form(eta, complex, assignment), a_p / 2 * sign)
+        if i > p:
+            _add_defects(form, eta, a_p / 2 * (-1) ** (i - p), complex, assignment)
     return form
 
 
@@ -88,7 +104,7 @@ def _stratified_form(
     for eta in complex.star(v):
         i = len(eta) - 1
         if i <= complex.dim - 2:
-            form.add(_defect_form(eta, complex, assignment), Fraction((-1) ** i, i + 1))
+            _add_defects(form, eta, Fraction((-1) ** i, i + 1), complex, assignment)
     return form
 
 

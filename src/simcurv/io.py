@@ -148,9 +148,12 @@ def carrier_from_payload(payload: Any) -> dict[Simplex, Simplex]:
     for entry in payload:
         try:
             simplex = _vertex_ids(entry["simplex"], "carrier entry simplex")
-            carrier[simplex] = _vertex_ids(entry["carrier"], "carrier")
+            zeta = _vertex_ids(entry["carrier"], "carrier")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad carrier entry {entry!r}") from exc
+        if simplex in carrier:
+            raise FileFormatError(f"more than one carrier entry for simplex {list(simplex)}")
+        carrier[simplex] = zeta
     return carrier
 
 

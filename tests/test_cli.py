@@ -448,9 +448,9 @@ def test_subdivide_rejects_non_vertex_list_stellar(capsys, tmp_path, value):
     assert f"--stellar {value}:" in err and "integer vertex ids" in err
 
 
-def test_verify_subdivision_rejects_carrier_outside_base(capsys, tmp_path):
-    # a_1 = 0, so the carrier of an edge never enters a form; it must still
-    # be a simplex of the base
+def _barycentric_sidecar(capsys, tmp_path):
+    """Write boundary_of_simplex(3), its barycentric subdivision and the
+    carrier sidecar; return the three paths and the sidecar's entries."""
     base_path = tmp_path / "dD3.json"
     with base_path.open("w") as handle:
         cio.dump_complex(boundary_of_simplex(3), handle)
@@ -461,12 +461,11 @@ def test_verify_subdivision_rejects_carrier_outside_base(capsys, tmp_path):
     assert code == 0
     refined_path = tmp_path / "refined.json"
     refined_path.write_text(out)
-    entries = json.loads(carrier_path.read_text())
-    for entry in entries:
-        if entry["simplex"] == [0, 4]:
-            entry["carrier"] = [0, 9]
-    carrier_path.write_text(json.dumps(entries))
-    code, out, err = run_cli(
+    return base_path, refined_path, carrier_path, json.loads(carrier_path.read_text())
+
+
+def _verify_subdivision(capsys, base_path, refined_path, carrier_path):
+    return run_cli(
         capsys,
         "verify",
         "subdivision",
@@ -478,6 +477,43 @@ def test_verify_subdivision_rejects_carrier_outside_base(capsys, tmp_path):
         "--samples",
         "2000",
     )
+
+
+def _set_carrier(entries, simplex, carrier):
+    for entry in entries:
+        if entry["simplex"] == simplex:
+            entry["carrier"] = carrier
+
+
+def test_verify_subdivision_rejects_carrier_outside_base(capsys, tmp_path):
+    # a_1 = 0, so the carrier of an edge never enters a form; it must still
+    # be a simplex of the base
+    base_path, refined_path, carrier_path, entries = _barycentric_sidecar(capsys, tmp_path)
+    _set_carrier(entries, [0, 4], [0, 9])
+    carrier_path.write_text(json.dumps(entries))
+    code, out, err = _verify_subdivision(capsys, base_path, refined_path, carrier_path)
     assert code == 2
     assert out == ""
     assert "carrier [0, 9] of [0, 4] is not a simplex of the base complex" in err
+
+
+def test_verify_subdivision_rejects_wrong_base_carrier(capsys, tmp_path):
+    # [0, 2] is a base simplex, but not the carrier of the edge from vertex 0
+    # to the midpoint 4 of [0, 1]
+    base_path, refined_path, carrier_path, entries = _barycentric_sidecar(capsys, tmp_path)
+    assert _verify_subdivision(capsys, base_path, refined_path, carrier_path)[0] == 0
+    _set_carrier(entries, [0, 4], [0, 2])
+    carrier_path.write_text(json.dumps(entries))
+    code, out, err = _verify_subdivision(capsys, base_path, refined_path, carrier_path)
+    assert code == 2
+    assert out == ""
+    assert "carrier [0, 2] of [0, 4] is not [0, 1], the union of its vertices' carriers" in err
+
+
+def test_verify_subdivision_rejects_duplicate_carrier_entries(capsys, tmp_path):
+    base_path, refined_path, carrier_path, entries = _barycentric_sidecar(capsys, tmp_path)
+    carrier_path.write_text(json.dumps([{"simplex": [0, 4], "carrier": [0, 1, 2]}, *entries]))
+    code, out, err = _verify_subdivision(capsys, base_path, refined_path, carrier_path)
+    assert code == 2
+    assert out == ""
+    assert "more than one carrier entry for simplex [0, 4]" in err

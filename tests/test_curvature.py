@@ -6,6 +6,9 @@ import pytest
 
 from simcurv.curvature import (
     HypothesisError,
+    _ascending_form,
+    _defect_form,
+    _stratified_form,
     ascending_stratified_curvature,
     carrier_alternating_sum,
     carrier_alternating_sum_check,
@@ -20,7 +23,8 @@ from simcurv.curvature import (
     vanishing_hypothesis_check,
 )
 from simcurv.generators import boundary_of_simplex, solid_simplex
-from simcurv.geometry import AngleCache, AngleConfig, sommerville_residuals
+from simcurv.geometry import AngleCache, AngleConfig, _AngleForm, sommerville_residuals
+from simcurv.sequences import angle_defect_term
 from simcurv.stratification import stratify
 from simcurv.subdivision import barycentric_subdivide, stellar_subdivide
 
@@ -284,3 +288,61 @@ def test_curvature_table_threaded_matches_per_simplex_functions(sphere3):
 def test_curvature_table_rejects_unknown_kind(sphere2):
     with pytest.raises(ValueError, match="defect, stratified, ascending"):
         curvature_table(sphere2, "gaussian")
+
+
+def _reference_defect_form(eta, complex, assignment):
+    form = _AngleForm(const=assignment.rank(eta))
+    for sigma in complex.top_cofaces(eta):
+        form.coeffs[(eta, sigma)] = form.coeffs.get((eta, sigma), Fraction(0)) - 1
+    return form
+
+
+def _merged_ascending_form(tau, complex, assignment, weights):
+    """Reference: the ascending form as a sum of defect forms, merged one by
+    one through ``_AngleForm.add``."""
+    p = len(tau) - 1
+    a_p = weights(p)
+    form = _AngleForm()
+    if a_p == 0:
+        return form
+    form.add(_reference_defect_form(tau, complex, assignment), a_p)
+    for eta in complex.star(tau):
+        i = len(eta) - 1
+        if i > p:
+            form.add(_reference_defect_form(eta, complex, assignment), a_p / 2 * Fraction(-1) ** (i - p))
+    return form
+
+
+def _merged_stratified_form(v, complex, assignment):
+    form = _AngleForm()
+    for eta in complex.star(v):
+        i = len(eta) - 1
+        if i <= complex.dim - 2:
+            form.add(_reference_defect_form(eta, complex, assignment), Fraction((-1) ** i, i + 1))
+    return form
+
+
+@pytest.mark.parametrize(
+    "weights", [angle_defect_term, lambda n: Fraction(1)], ids=["a_n", "constant_one"]
+)
+def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, weights):
+    sd_sphere2 = barycentric_subdivide(boundary_of_simplex(3)).refined
+    for embedded in (sphere3, book, join_sphere3, sd_sphere2):
+        complex = embedded.complex
+        assignment = stratify(complex)
+        pairs = [
+            (_ascending_form(s, complex, assignment, weights),
+             _merged_ascending_form(s, complex, assignment, weights))
+            for s in complex.simplices()
+        ]
+        pairs += [
+            (_stratified_form(v, complex, assignment), _merged_stratified_form(v, complex, assignment))
+            for v in complex.simplices(0)
+        ]
+        pairs += [
+            (_defect_form(s, complex, assignment), _reference_defect_form(s, complex, assignment))
+            for s in complex.simplices()
+        ]
+        for form, reference in pairs:
+            assert form.const == reference.const
+            assert list(form.coeffs.items()) == list(reference.coeffs.items())  # order too

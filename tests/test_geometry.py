@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from simcurv.complexes import SimplicialComplex
 from simcurv.generators import (
+    boundary_of_simplex,
+    cross_polytope,
+    join_of_sphere_boundaries,
     random_simplex,
     regular_simplex_points,
     seven_point_configuration,
     solid_simplex,
+    triple_book,
 )
 from simcurv.geometry import (
     AngleCache,
@@ -23,7 +27,9 @@ from simcurv.geometry import (
     convex_hull_boundary,
     solid_angle,
     sommerville_residuals,
+    top_angle_pairs,
 )
+from simcurv.subdivision import barycentric_subdivide
 
 FAST = AngleConfig(samples=50_000, seed=7)
 
@@ -450,3 +456,139 @@ def test_odd_sample_count_rounds_up_to_whole_pairs(solid_tet):
     angle = solid_angle((0,), (0, 1, 2, 3), solid_tet, AngleConfig(samples=1001, seed=1))
     assert angle.method == "monte_carlo"
     assert angle.samples == 1002
+
+
+# -- stacked closed forms -----------------------------------------------------
+
+
+def _per_pair_closed_form(eta, sigma, embedded) -> float:
+    """Reference: the closed-form angle of one pair, computed alone, with the
+    per-pair projection the stacked path replaced (up to two SVDs)."""
+
+    def orthonormal_rows(vectors, rank):
+        _, s, vt = np.linalg.svd(vectors, full_matrices=False)
+        assert int((s > 1e-10 * s[0]).sum()) == rank
+        return vt[:rank]
+
+    c = len(sigma) - len(eta)
+    if c < 2:
+        return (1.0, 0.5)[c]
+    x = embedded.barycenter(eta)
+    directions = embedded.points([v for v in sigma if v not in eta]) - x
+    if len(eta) > 1:
+        face_basis = orthonormal_rows(embedded.points(eta) - x, len(eta) - 1)
+        directions = directions - (directions @ face_basis.T) @ face_basis
+    basis = orthonormal_rows(directions, c)
+    (u0, u1), (v0, v1) = directions @ basis.T
+    theta = math.atan2(abs(u0 * v1 - u1 * v0), u0 * v0 + u1 * v1)
+    return theta / (2.0 * math.pi)
+
+
+def _isometric_lift(embedded, dim, seed):
+    """The complex under a random rigid motion into R^dim."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lift = q[:, : embedded.ambient_dim]
+    shift = rng.standard_normal(dim)
+    coords = {v: lift @ p + shift for v, p in embedded.coordinates.items()}
+    return EmbeddedComplex(embedded.complex, coords, dim)
+
+
+def _thin_wedge_tetrahedron():
+    # the edge (0, 1) has a dihedral angle of about 1e-8
+    coords = {0: (0, 0, 0), 1: (1, 0, 0), 2: (0.3, 1, 0), 3: (0.6, 1, 1e-8)}
+    return EmbeddedComplex(SimplicialComplex([(0, 1, 2, 3)]), coords)
+
+
+def _sd2_sphere2():
+    sd = boundary_of_simplex(3)
+    for _ in range(2):
+        sd = barycentric_subdivide(sd).refined
+    return sd
+
+
+CLOSED_FORM_CORPUS = {
+    "sphere2": lambda: boundary_of_simplex(3),
+    "sphere3": lambda: boundary_of_simplex(4),
+    "sd2_sphere2": _sd2_sphere2,
+    "book": triple_book,
+    "join": lambda: join_of_sphere_boundaries(2, 2),
+    "random4": lambda: random_simplex(4, seed=5),
+    "random5": lambda: random_simplex(5, seed=6),
+    "cross4": lambda: cross_polytope(4),
+    "thin_wedge": _thin_wedge_tetrahedron,
+    "book_in_r6": lambda: _isometric_lift(triple_book(), 6, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_CORPUS))
+def test_stacked_closed_forms_match_the_per_pair_algorithm(name):
+    embedded = CLOSED_FORM_CORPUS[name]()
+    pairs = [(e, s) for e, s in top_angle_pairs(embedded.complex) if len(s) - len(e) <= 2]
+    cache = AngleCache(embedded, AngleConfig(samples=1000, threads=1))
+    cache.fill(pairs)
+    assert len(cache._values) == len(pairs)
+    for eta, sigma in pairs:
+        expected = _per_pair_closed_form(eta, sigma, embedded)
+        assert cache._values[(eta, sigma)].value == expected  # bit for bit
+        assert solid_angle(eta, sigma, embedded) == cache._values[(eta, sigma)]
+        assert cache._values[(eta, sigma)].method == "exact"
+
+
+def test_thin_dihedral_angle_is_not_rounded_away():
+    value = solid_angle((0, 1), (0, 1, 2, 3), _thin_wedge_tetrahedron()).value
+    assert 0.0 < value < 1e-8
+
+
+@pytest.mark.parametrize(
+    "pair, error",
+    [
+        (((0, 1, 2, 4), (0, 1, 2, 3)), GeometryError),  # codimension 0, not a face
+        (((0, 1, 4), (0, 1, 2, 3)), GeometryError),  # codimension 1
+        (((0, 4), (0, 1, 2, 3)), GeometryError),  # codimension 2
+        (((0, 1, 4), (0, 1, 4)), KeyError),  # not in the complex
+        (((0, 1), (0, 1, 4)), KeyError),
+        (((0,), (0, 1, 4)), KeyError),
+    ],
+)
+def test_fill_checks_closed_form_pairs(solid_tet, pair, error):
+    good = [((0, 1), (0, 1, 2, 3)), ((0, 1, 2), (0, 1, 2, 3))]
+    with pytest.raises(error):
+        AngleCache(solid_tet, FAST).fill(good + [pair])
+    with pytest.raises(error):
+        solid_angle(*pair, solid_tet, FAST)
+
+
+def _rotation(dim, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 10_000),
+    log_scale=st.floats(-6.0, 6.0),
+    extra_dims=st.integers(0, 2),
+)
+def test_closed_form_angles_are_invariant(n, seed, log_scale, extra_dims):
+    """Rigid motion, uniform scaling and a larger ambient space leave every
+    closed-form angle unchanged, to 1e-12 relative.  The shift is scaled with
+    the simplex: moving a 1e-6-sized simplex by 1 costs about 1e-10 of its
+    coordinates' relative precision before any angle is computed."""
+    simplex = random_simplex(n, seed=seed)
+    dim = n + extra_dims
+    rotation = _rotation(dim, seed)
+    shift = np.random.default_rng(seed + 1).standard_normal(dim)
+    scale = 10.0**log_scale
+    coords = {
+        v: scale * (rotation @ np.concatenate([p, np.zeros(extra_dims)]) + shift)
+        for v, p in simplex.coordinates.items()
+    }
+    moved = EmbeddedComplex(simplex.complex, coords, dim)
+    pairs = [(e, s) for e, s in top_angle_pairs(simplex.complex) if len(s) - len(e) <= 2]
+    before, after = AngleCache(simplex, FAST), AngleCache(moved, FAST)
+    before.fill(pairs)
+    after.fill(pairs)
+    for pair in pairs:
+        assert after.angle(*pair).value == pytest.approx(before.angle(*pair).value, rel=1e-12, abs=0.0)

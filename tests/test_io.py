@@ -67,6 +67,13 @@ def test_carrier_payload_validation():
         cio.carrier_from_payload([{"simplex": [0, 1]}])
 
 
+def test_duplicate_carrier_entries_rejected():
+    # the second entry used to overwrite the first
+    entries = [{"simplex": [0, 4], "carrier": [0, 1, 2]}, {"simplex": [4, 0], "carrier": [0, 1]}]
+    with pytest.raises(cio.FileFormatError, match=r"more than one carrier entry for simplex \[0, 4\]"):
+        cio.carrier_from_payload(entries)
+
+
 @pytest.mark.parametrize("bad_value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_coordinates_rejected(bad_value):
     doc = payload()

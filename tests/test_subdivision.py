@@ -236,3 +236,34 @@ def test_subdivision_pair_rejects_bad_carrier(sphere2, tau, zeta, message):
         carrier[tau] = zeta
     with pytest.raises(ValueError, match=re.escape(message)):
         SubdivisionPair(pair.base, pair.refined, carrier)
+
+
+def test_chunked_carrier_solves_match_one_solve(monkeypatch):
+    import simcurv.subdivision as subdivision
+
+    base = boundary_of_simplex(3)
+    for _ in range(2):
+        base = barycentric_subdivide(base).refined
+    refined = barycentric_subdivide(base).refined  # third subdivision
+    points = np.array([refined.barycenter(tau) for tau in refined.complex.simplices()])
+    assert len(points) > 2 * subdivision.SOLVE_CHUNK_COLUMNS
+    targets = np.vstack([points.T, np.ones((1, len(points)))])
+    for gamma in sorted(base.complex.maximal):
+        system = np.vstack([base.points(gamma).T, np.ones((1, len(gamma)))])
+        whole, *_ = np.linalg.lstsq(system, targets, rcond=None)
+        assert np.array_equal(subdivision._solve_columns(system, targets), whole)
+    chunked = locate_points(base, points)
+    monkeypatch.setattr(subdivision, "SOLVE_CHUNK_COLUMNS", len(points))
+    assert locate_points(base, points) == chunked
+
+
+def test_carrier_must_be_the_union_of_its_vertex_carriers(sphere2):
+    pair = barycentric_subdivide(sphere2)
+    assert pair.carrier[(0, 4)] == (0, 1)  # refined vertex 4 is the midpoint of [0, 1]
+    for tau, wrong in [((0, 4), (0, 2)), ((0, 4), (0, 1, 2)), ((0, 4, 10), (0, 1, 3))]:
+        carrier = dict(pair.carrier)
+        true = carrier[tau]
+        carrier[tau] = wrong
+        message = f"carrier {list(wrong)} of {list(tau)} is not {list(true)}, the union"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SubdivisionPair(pair.base, pair.refined, carrier)
