@@ -16,9 +16,10 @@ strided columns of the (rows, c) product.
 
 The count walks its sample block in row chunks of ``COUNT_CHUNK_ROWS``.  A
 whole 2^18-row block is one product large enough that OpenBLAS starts its
-own worker threads for it, inside every ``AngleCache.fill`` thread; on two
-CPUs that made four busy threads fighting over two cores, slowing both the
-product and the sampling beside it.  Chunked products stay under
+own worker threads for it, inside every ``AngleCache.fill`` worker thread
+(the worker threads of the fill's process-wide pool); on two CPUs that made
+four busy threads fighting over two cores, slowing both the product and the
+sampling beside it.  Chunked products stay under
 OpenBLAS's single-thread cutoff, so the fill threads are the only
 parallelism and no ``OPENBLAS_NUM_THREADS`` setting is needed.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -65,6 +66,9 @@ def _read_complex(path: str):
 
 
 def _angle_config(args) -> AngleConfig:
+    z = args.z_threshold
+    if not (math.isfinite(z) and z > 0):
+        raise _CliError(f"--z-threshold must be a positive finite number, got {z}")
     return AngleConfig(samples=args.samples, seed=args.seed, threads=args.threads)
 
 

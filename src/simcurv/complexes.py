@@ -112,6 +112,14 @@ class SimplicialComplex:
             return ()
         return self._by_dim[dim]
 
+    def canonical(self, simplex: Iterable[int]) -> Simplex:
+        """``simplex`` as a canonical tuple: itself when it is a tuple of this
+        complex, else ``as_simplex(simplex)``, which sorts, converts and
+        checks it."""
+        if type(simplex) is tuple and simplex in self._set:
+            return simplex
+        return as_simplex(simplex)
+
     def index_of(self, simplex: Simplex) -> int:
         """Canonical position of a simplex (sorted by dimension, then lex)."""
         return self._index[simplex]

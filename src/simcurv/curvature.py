@@ -237,6 +237,11 @@ class TheoremReport:
         }
 
 
+def _require_z(z: float) -> None:
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be a positive finite number, got {z}")
+
+
 def _verdict(residual: float, std_error: float, exact: bool, z: float, abs_tol: float) -> bool:
     if exact or std_error == 0.0:
         return abs(residual) <= abs_tol
@@ -266,6 +271,7 @@ def gauss_bonnet_check(
 ) -> TheoremReport:
     """Alternating sum of ascending curvatures against the stratified Euler
     characteristic."""
+    _require_z(z)
     complex = embedded.complex
     if complex.dim < 2:
         raise ValueError("Gauss-Bonnet check needs dimension >= 2")
@@ -332,6 +338,7 @@ def vanishing_check(
 ) -> TheoremReport:
     """Every ascending curvature of a qualifying odd-dimensional complex is
     statistically compatible with zero (and exactly zero where analytic)."""
+    _require_z(z)
     complex = embedded.complex
     holds, violations = vanishing_hypothesis_check(complex)
     if not holds:
@@ -383,6 +390,7 @@ def subdivision_relation_check(
     a_(dim zeta) * K(tau)  equals  a_(dim tau) * K(zeta),
     where K is the ascending curvature in the respective complex; when the
     dimensions agree the curvatures themselves must agree."""
+    _require_z(z)
     base = pair.base
     refined = pair.refined
     base_assignment = _require_assignment(base, base_assignment)
@@ -448,6 +456,7 @@ def sommerville_check(
 ) -> TheoremReport:
     """Sommerville's identity, in both forms, for every top simplex sigma of
     an odd-dimensional complex and every even face tau of dimension <= n - 2."""
+    _require_z(z)
     complex = embedded.complex
     n = complex.dim
     if n % 2 == 0 or n < 3:

@@ -46,13 +46,13 @@ class StratumAssignment:
     warnings: list[str] = field(default_factory=list)
 
     def rank(self, simplex: Simplex) -> Fraction:
-        return self.info[as_simplex(simplex)].rank
+        return self.info[self.complex.canonical(simplex)].rank
 
     def r(self, simplex: Simplex) -> int:
-        return self.info[as_simplex(simplex)].r
+        return self.info[self.complex.canonical(simplex)].r
 
     def tier(self, simplex: Simplex) -> str:
-        return self.info[as_simplex(simplex)].tier
+        return self.info[self.complex.canonical(simplex)].tier
 
 
 def suspension_euler_characteristic(points: int, iterations: int) -> int:

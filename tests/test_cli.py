@@ -393,6 +393,18 @@ def test_non_positive_threads_exit_2(capsys, sphere3_file, threads):
     assert f"threads must be at least 1, got {threads}" in err
 
 
+@pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", [["verify", "vanishing"], ["verify", "sommerville"], ["curvature"]])
+def test_bad_z_threshold_exits_2(capsys, sphere3_file, command, z):
+    # -1, 0 and nan used to fail every Monte Carlo row (exit 1); inf passed every one
+    code, out, err = run_cli(
+        capsys, *command, sphere3_file, "--samples", "1000", "--z-threshold", z
+    )
+    assert code == 2
+    assert out == ""
+    assert f"--z-threshold must be a positive finite number, got {float(z)}" in err
+
+
 @pytest.mark.parametrize("bad_id", [1.7, True, "1"])
 def test_non_integer_vertex_id_exits_2(capsys, tmp_path, bad_id):
     # int() used to read [0, 1.7, 2] as the triangle [0, 1, 2]

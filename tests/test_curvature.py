@@ -17,6 +17,7 @@ from simcurv.curvature import (
     curvature_table,
     gauss_bonnet_check,
     generalized_angle_defect,
+    sommerville_check,
     stratified_curvature_at_vertex,
     subdivision_relation_check,
     vanishing_check,
@@ -346,3 +347,18 @@ def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, wei
         for form, reference in pairs:
             assert form.const == reference.const
             assert list(form.coeffs.items()) == list(reference.coeffs.items())  # order too
+
+
+@pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])
+def test_checks_reject_a_bad_z(sphere3, z):
+    cfg = AngleConfig(samples=1000, seed=1)
+    pair = barycentric_subdivide(boundary_of_simplex(3))
+    checks = [
+        lambda: gauss_bonnet_check(sphere3, cfg=cfg, z=z),
+        lambda: vanishing_check(sphere3, cfg=cfg, z=z),
+        lambda: subdivision_relation_check(pair, cfg=cfg, z=z),
+        lambda: sommerville_check(solid_simplex(3), cfg, z=z),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="z must be a positive finite number"):
+            check()

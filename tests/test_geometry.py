@@ -210,6 +210,45 @@ def test_sommerville_preconditions(solid_tet):
         sommerville_residuals((0, 1, 2, 3), (0, 1), solid_tet, FAST)  # odd face
 
 
+def test_sommerville_residuals_fill_both_forms_at_once():
+    from simcurv.geometry import _sommerville_forms
+
+    five = random_simplex(5, seed=4)
+    sigma, tau = tuple(range(6)), (0, 2, 5)
+    cache = AngleCache(five, AngleConfig(samples=2000, seed=4, threads=2))
+    sommerville_residuals(sigma, tau, five, cache=cache)
+    alternating, defect = _sommerville_forms(sigma, tau)
+    assert alternating.coeffs.keys() | defect.coeffs.keys() == cache._values.keys()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sommerville_residuals_equal_the_pair_by_pair_path(threads):
+    from simcurv.geometry import _sommerville_forms
+
+    for dim, seed, taus in [(3, 5, [(1,), (3,)]), (5, 6, [(0,), (1, 3, 4), (2,)])]:
+        embedded = random_simplex(dim, seed=seed)
+        sigma = tuple(range(dim + 1))
+        batched = AngleCache(embedded, AngleConfig(samples=4000, seed=seed, threads=threads))
+        reference = AngleCache(embedded, AngleConfig(samples=4000, seed=seed, threads=1))
+        for tau in taus:
+            report = sommerville_residuals(sigma, tau, embedded, cache=batched)
+            alternating, defect = _sommerville_forms(sigma, tau)
+            for pair in alternating.coeffs:  # one pair at a time, as the lazy path did
+                reference.angle(*pair)
+            for name, form in (("alternating", alternating), ("defect", defect)):
+                value = form.evaluate(reference)
+                assert report[f"{name}_residual"] == value.value
+                assert report[f"{name}_std_error"] == value.std_error
+
+
+def test_form_evaluation_needs_a_filled_cache(solid_tet):
+    from simcurv.geometry import _sommerville_forms
+
+    alternating, _ = _sommerville_forms((0, 1, 2, 3), (0,))
+    with pytest.raises(KeyError):
+        alternating.evaluate(AngleCache(solid_tet, FAST))
+
+
 # -- convex hull --------------------------------------------------------------
 
 
@@ -409,9 +448,108 @@ def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(geometry, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(geometry, "_POOLS", {})
     cache = AngleCache(solid_tet, AngleConfig(samples=1000, seed=1, threads=8))
     cache.fill([((v,), (0, 1, 2, 3)) for v in range(3)])
     assert sizes == [3]
+
+
+def test_successive_fills_run_on_the_same_worker_threads(monkeypatch, solid_tet):
+    import threading
+
+    import simcurv.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_POOLS", {})
+    seen = []
+    real_solid_angle = geometry.solid_angle
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        return real_solid_angle(*args)
+
+    monkeypatch.setattr(geometry, "solid_angle", recording)
+    cfg = AngleConfig(samples=1000, seed=1, threads=2)
+    pairs = [((v,), (0, 1, 2, 3)) for v in range(4)]
+    AngleCache(solid_tet, cfg).fill(pairs)
+    first = set(seen)
+    alive = {t.ident for t in threading.enumerate()}
+    seen.clear()
+    AngleCache(solid_tet, cfg).fill(pairs)
+    assert len(seen) == 4
+    assert set(seen) <= alive  # no thread was started for the second fill
+    assert threading.get_ident() not in first | set(seen)
+
+
+def test_concurrent_fills_share_one_pool(monkeypatch):
+    import sys
+    import threading
+
+    import simcurv.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_POOLS", {})
+    embedded = random_simplex(3, seed=8)
+    pairs = [((v,), (0, 1, 2, 3)) for v in range(4)]
+    reference = AngleCache(embedded, AngleConfig(samples=1000, seed=8, threads=1))
+    reference.fill(pairs)
+    caches = [AngleCache(embedded, AngleConfig(samples=1000, seed=8, threads=2)) for _ in range(6)]
+    callers = [threading.Thread(target=cache.fill, args=(pairs,)) for cache in caches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert list(geometry._POOLS) == [2]
+    for cache in caches:
+        assert cache._values == reference._values
+
+
+def _fill_in_child(pairs, connection):
+    cache = AngleCache(solid_simplex(3), AngleConfig(samples=2000, seed=3, threads=2))
+    cache.fill(pairs)
+    connection.send([cache._values[pair] for pair in pairs])
+    connection.close()
+
+
+def test_forked_child_fills_after_its_parent():
+    import multiprocessing
+
+    pairs = [((v,), (0, 1, 2, 3)) for v in range(4)]
+    parent = AngleCache(solid_simplex(3), AngleConfig(samples=2000, seed=3, threads=2))
+    parent.fill(pairs)  # the parent's pool now has live worker threads
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_fill_in_child, args=(pairs, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child's fill did not finish"
+        values = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert values == [parent._values[pair] for pair in pairs]
+
+
+def test_fill_and_rank_accept_lists_and_numpy_ints(solid_tet):
+    from simcurv.stratification import stratify
+
+    pair = ((0, 1, 2, 3), (0, 1, 2, 3))
+    canonical = AngleCache(solid_tet, FAST)
+    canonical.fill([((1,), (0, 1, 2, 3)), pair])
+    loose = AngleCache(solid_tet, FAST)
+    loose.fill([([1], [3, 2, 1, 0]), (tuple(np.arange(4)), np.arange(4))])
+    assert loose._values == canonical._values
+    assignment = stratify(solid_tet.complex)
+    for simplex in ([2, 0], (2, 0), (np.int64(0), np.int64(2)), np.array([0, 2])):
+        assert assignment.rank(simplex) == Fraction(1, 2)
+        assert assignment.tier(simplex) == assignment.tier((0, 2))
 
 
 # -- the antithetic estimator -------------------------------------------------

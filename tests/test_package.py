@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import simcurv
 from simcurv import curvature
@@ -21,3 +25,17 @@ def test_all_exports_every_curvature_and_check():
     }
     assert "curvature_table" in public
     assert public <= set(simcurv.__all__), public - set(simcurv.__all__)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(simcurv.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "simcurv", "sequence", "--up-to", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["a_0 = 1", "a_1 = 0", "a_2 = -1/2"]
