@@ -29,7 +29,6 @@ from simcurv.curvature import (
 from simcurv.geometry import (
     AngleCache,
     AngleConfig,
-    GeometryError,
     convex_hull_boundary,
     top_angle_pairs,
 )
@@ -61,8 +60,23 @@ def _read_complex(path: str):
             return io.load_complex(stream)
     except FileNotFoundError as exc:
         raise _CliError(f"{path}: no such file") from exc
-    except (json.JSONDecodeError, FileFormatError, GeometryError, ValueError) as exc:
+    except ValueError as exc:  # malformed JSON, content or geometry
         raise _CliError(f"{path}: {exc}") from exc
+
+
+def _read_sidecar(path: str, parse):
+    """``parse`` applied to the JSON in the sidecar file ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as stream:
+            return parse(json.load(stream))
+    except (OSError, json.JSONDecodeError, FileFormatError) as exc:
+        raise _CliError(f"{path}: {exc}") from exc
+
+
+def _read_stratified(path: str):
+    """The embedded complex in ``path``, stratified with its rank overrides."""
+    embedded, overrides = _read_complex(path)
+    return embedded, stratify(embedded.complex, overrides)
 
 
 def _angle_config(args) -> AngleConfig:
@@ -78,6 +92,17 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--z-threshold", type=float, default=4.0)
     parser.add_argument("--format", choices=["table", "json"], default="table")
+
+
+def _emit_rows(fmt: str, rows: list[dict], payload=None, footer=()) -> None:
+    """Print ``payload`` (default: the rows) as JSON, or the rows as a table
+    with the footer lines under it."""
+    if fmt == "json":
+        print(json.dumps(json_ready(rows if payload is None else payload), indent=2))
+        return
+    _print_table(list(rows[0]), [[_cell(v) for v in row.values()] for row in rows])
+    for line in footer:
+        print(line)
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -134,30 +159,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "simplex-boundary":
-        embedded = generators.boundary_of_simplex(_dim_arg(args))
-    elif kind == "solid-simplex":
-        embedded = generators.solid_simplex(_dim_arg(args))
-    elif kind == "cross-polytope":
-        embedded = generators.cross_polytope(_dim_arg(args))
-    elif kind == "triple-book":
-        embedded = generators.triple_book()
-    elif kind == "random-simplex":
-        embedded = generators.random_simplex(_dim_arg(args), seed=args.seed)
-    elif kind == "cone":
-        base, _ = _read_complex(_file_arg(args, 0))
-        embedded, _ = generators.embedded_cone(base)
-    elif kind == "suspension":
-        base, _ = _read_complex(_file_arg(args, 0))
-        embedded, _ = generators.embedded_suspension(base)
-    elif kind == "join":
-        left, _ = _read_complex(_file_arg(args, 0))
-        right, _ = _read_complex(_file_arg(args, 1))
-        embedded, _ = generators.embedded_join(left, right)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _CliError(f"unknown generator {kind}")
-    io.dump_complex(embedded, sys.stdout)
+    io.dump_complex(_GENERATORS[args.kind](args), sys.stdout)
     return EXIT_OK
 
 
@@ -170,10 +172,26 @@ def _dim_arg(args) -> int:
         raise _CliError(f"bad dimension {args.args[0]!r}") from exc
 
 
-def _file_arg(args, position: int) -> str:
+def _file_complex(args, position: int):
+    """The embedded complex in the generator's file argument ``position``."""
     if len(args.args) <= position:
         raise _CliError(f"generator '{args.kind}' needs a complex file argument")
-    return args.args[position]
+    return _read_complex(args.args[position])[0]
+
+
+# The corpus generators: the parser's choices and their dispatch.
+_GENERATORS = {
+    "simplex-boundary": lambda args: generators.boundary_of_simplex(_dim_arg(args)),
+    "solid-simplex": lambda args: generators.solid_simplex(_dim_arg(args)),
+    "cross-polytope": lambda args: generators.cross_polytope(_dim_arg(args)),
+    "triple-book": lambda args: generators.triple_book(),
+    "random-simplex": lambda args: generators.random_simplex(_dim_arg(args), seed=args.seed),
+    "cone": lambda args: generators.embedded_cone(_file_complex(args, 0))[0],
+    "suspension": lambda args: generators.embedded_suspension(_file_complex(args, 0))[0],
+    "join": lambda args: generators.embedded_join(
+        _file_complex(args, 0), _file_complex(args, 1)
+    )[0],
+}
 
 
 def _cmd_info(args) -> int:
@@ -195,18 +213,10 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    embedded, file_overrides = _read_complex(args.complex)
-    overrides = dict(file_overrides)
+    embedded, overrides = _read_complex(args.complex)
     if args.overrides:
-        try:
-            with open(args.overrides, "r", encoding="utf-8") as stream:
-                overrides.update(io.overrides_from_payload(json.load(stream)))
-        except (OSError, json.JSONDecodeError, FileFormatError) as exc:
-            raise _CliError(f"{args.overrides}: {exc}") from exc
-    try:
-        assignment = stratify(embedded.complex, overrides)
-    except KeyError as exc:
-        raise _CliError(str(exc)) from exc
+        overrides = {**overrides, **_read_sidecar(args.overrides, io.overrides_from_payload)}
+    assignment = stratify(embedded.complex, overrides)
     chi_s = stratified_euler_characteristic(embedded.complex, assignment)
     rows = [
         {
@@ -217,27 +227,14 @@ def _cmd_strata(args) -> int:
         }
         for s in embedded.complex.simplices()
     ]
-    if args.format == "json":
-        print(
-            json.dumps(
-                json_ready(
-                    {
-                        "stratified_euler_characteristic": chi_s,
-                        "warnings": assignment.warnings,
-                        "rows": rows,
-                    }
-                ),
-                indent=2,
-            )
-        )
-    else:
-        _print_table(
-            ["simplex", "r", "rank", "tier"],
-            [[_cell(r["simplex"]), str(r["r"]), _cell(r["rank"]), r["tier"]] for r in rows],
-        )
-        for warning in assignment.warnings:
-            print(f"warning: {warning}")
-        print(f"stratified_euler_characteristic: {format_fraction(chi_s)}")
+    payload = {
+        "stratified_euler_characteristic": chi_s,
+        "warnings": assignment.warnings,
+        "rows": rows,
+    }
+    footer = [f"warning: {warning}" for warning in assignment.warnings]
+    footer.append(f"stratified_euler_characteristic: {format_fraction(chi_s)}")
+    _emit_rows(args.format, rows, payload, footer)
     return EXIT_OK
 
 
@@ -258,30 +255,17 @@ def _cmd_angles(args) -> int:
                 "method": a.method,
             }
         )
-    if args.format == "json":
-        print(json.dumps(json_ready(rows), indent=2))
-    else:
-        _print_table(
-            ["face", "top", "alpha", "std_error", "method"],
-            [
-                [_cell(r["face"]), _cell(r["top"]), _cell(r["alpha"]), _cell(r["std_error"]), r["method"]]
-                for r in rows
-            ],
-        )
+    _emit_rows(args.format, rows)
     return EXIT_OK
 
 
 def _cmd_curvature(args) -> int:
-    embedded, overrides = _read_complex(args.complex)
-    assignment = stratify(embedded.complex, overrides)
+    embedded, assignment = _read_stratified(args.complex)
     rows = [
         {"simplex": list(s), "value": cv.value, "std_error": cv.std_error, "exact": cv.exact}
         for s, cv in curvature_table(embedded, args.kind, assignment, _angle_config(args))
     ]
-    if args.format == "json":
-        print(json.dumps(json_ready({"kind": args.kind, "rows": rows}), indent=2))
-    else:
-        _print_table(list(rows[0]), [[_cell(v) for v in r.values()] for r in rows])
+    _emit_rows(args.format, rows, {"kind": args.kind, "rows": rows})
     return EXIT_OK
 
 
@@ -325,12 +309,10 @@ def _cmd_verify(args) -> int:
     cfg = _angle_config(args)
     z = args.z_threshold
     if args.check == "gauss-bonnet":
-        embedded, overrides = _read_complex(args.complex)
-        assignment = stratify(embedded.complex, overrides)
+        embedded, assignment = _read_stratified(args.complex)
         report = gauss_bonnet_check(embedded, assignment, cfg, z=z)
     elif args.check == "vanishing":
-        embedded, overrides = _read_complex(args.complex)
-        assignment = stratify(embedded.complex, overrides)
+        embedded, assignment = _read_stratified(args.complex)
         try:
             report = vanishing_check(embedded, assignment, cfg, z=z)
         except HypothesisError as exc:
@@ -342,18 +324,14 @@ def _cmd_verify(args) -> int:
     else:  # subdivision
         if not args.base:
             raise _CliError("verify subdivision requires --base")
-        refined, _ = _read_complex(args.complex)
-        base, _ = _read_complex(args.base)
+        refined, refined_assignment = _read_stratified(args.complex)
+        base, base_assignment = _read_stratified(args.base)
         if args.carrier:
-            try:
-                with open(args.carrier, "r", encoding="utf-8") as stream:
-                    carrier = io.carrier_from_payload(json.load(stream))
-            except (OSError, json.JSONDecodeError, FileFormatError) as exc:
-                raise _CliError(f"{args.carrier}: {exc}") from exc
-            pair = SubdivisionPair(base, refined, carrier)
+            carrier = _read_sidecar(args.carrier, io.carrier_from_payload)
         else:
-            pair = SubdivisionPair(base, refined, compute_carriers(base, refined))
-        report = subdivision_relation_check(pair, cfg=cfg, z=z)
+            carrier = compute_carriers(base, refined)
+        pair = SubdivisionPair(base, refined, carrier)
+        report = subdivision_relation_check(pair, base_assignment, refined_assignment, cfg, z=z)
     _emit_report(report, args.format)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -371,19 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("generate", help="emit a corpus complex as JSON")
-    p.add_argument(
-        "kind",
-        choices=[
-            "simplex-boundary",
-            "solid-simplex",
-            "cross-polytope",
-            "triple-book",
-            "random-simplex",
-            "cone",
-            "suspension",
-            "join",
-        ],
-    )
+    p.add_argument("kind", choices=list(_GENERATORS))
     p.add_argument("args", nargs="*")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
@@ -441,10 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (GeometryError, FileFormatError, ValueError, KeyError) as exc:
+    except (_CliError, ValueError, KeyError) as exc:  # GeometryError, FileFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

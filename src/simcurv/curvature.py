@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
 from simcurv.geometry import (
@@ -31,6 +31,7 @@ from simcurv.geometry import (
     CurvatureValue,
     EmbeddedComplex,
     _AngleForm,
+    _require_cache,
     _sommerville_forms,
 )
 from simcurv.sequences import angle_defect_term
@@ -131,6 +132,23 @@ def _evaluate(book: AngleCache, forms: dict) -> dict:
 # -- the three curvatures ----------------------------------------------------
 
 
+def _curvature(
+    kind: str,
+    simplex: Iterable[int],
+    embedded: EmbeddedComplex,
+    assignment: StratumAssignment | None,
+    cfg: AngleConfig | None,
+    cache: AngleCache | None,
+    *weights: WeightFn,
+) -> CurvatureValue:
+    """The curvature of one simplex by the form builder ``_FORMS[kind]``,
+    filled and evaluated."""
+    simplex = as_simplex(simplex)
+    assignment = _require_assignment(embedded, assignment)
+    form = _FORMS[kind](simplex, embedded.complex, assignment, *weights)
+    return _evaluate(_require_cache(embedded, cfg, cache), {simplex: form})[simplex]
+
+
 def generalized_angle_defect(
     eta: Simplex,
     embedded: EmbeddedComplex,
@@ -142,10 +160,7 @@ def generalized_angle_defect(
 
     Exactly zero in codimensions 0 and 1 (the rank accounts for the halves).
     """
-    eta = as_simplex(eta)
-    assignment = _require_assignment(embedded, assignment)
-    form = _defect_form(eta, embedded.complex, assignment)
-    return _evaluate(cache or AngleCache(embedded, cfg), {eta: form})[eta]
+    return _curvature("defect", eta, embedded, assignment, cfg, cache)
 
 
 def stratified_curvature_at_vertex(
@@ -157,10 +172,7 @@ def stratified_curvature_at_vertex(
 ) -> CurvatureValue:
     """All angle defects around a vertex, concentrated there with weights
     (-1)^i / (i+1) per dimension i."""
-    v = as_simplex([vertex])
-    assignment = _require_assignment(embedded, assignment)
-    form = _stratified_form(v, embedded.complex, assignment)
-    return _evaluate(cache or AngleCache(embedded, cfg), {v: form})[v]
+    return _curvature("stratified", [vertex], embedded, assignment, cfg, cache)
 
 
 def ascending_stratified_curvature(
@@ -177,10 +189,7 @@ def ascending_stratified_curvature(
     codimensions 0 and 1.  ``weights`` is swappable to demonstrate that the
     recursion satisfied by the default sequence is load-bearing.
     """
-    tau = as_simplex(tau)
-    assignment = _require_assignment(embedded, assignment)
-    form = _ascending_form(tau, embedded.complex, assignment, weights)
-    return _evaluate(cache or AngleCache(embedded, cfg), {tau: form})[tau]
+    return _curvature("ascending", tau, embedded, assignment, cfg, cache, weights)
 
 
 def curvature_table(
@@ -217,14 +226,16 @@ def cone_vertex_curvature_factor(link_f_vector: Iterable[int]) -> Fraction:
 
 @dataclass
 class TheoremReport:
-    """Outcome of one verification: aggregate verdict plus per-row detail."""
+    """Outcome of one verification: aggregate verdict plus per-row detail.
+
+    ``abs_tol`` is the tolerance every verdict applies to exact residuals."""
 
     name: str
     passed: bool
     z_threshold: float
-    abs_tol: float
     summary: dict
     rows: list[dict] = field(default_factory=list)
+    abs_tol: ClassVar[float] = DEFAULT_ABS_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -242,21 +253,20 @@ def _require_z(z: float) -> None:
         raise ValueError(f"z must be a positive finite number, got {z}")
 
 
-def _verdict(residual: float, std_error: float, exact: bool, z: float, abs_tol: float) -> bool:
+def _verdict(residual: float, std_error: float, exact: bool, z: float) -> bool:
     if exact or std_error == 0.0:
-        return abs(residual) <= abs_tol
+        return abs(residual) <= DEFAULT_ABS_TOL
     return abs(residual) <= z * std_error
 
 
-def _row(simplex: Simplex, cv: CurvatureValue, z: float, abs_tol: float, target: float = 0.0):
-    residual = cv.value - target
+def _row(simplex: Simplex, cv: CurvatureValue, z: float):
     return {
         "simplex": list(simplex),
         "value": cv.value,
         "std_error": cv.std_error,
         "exact": cv.exact,
-        "residual": residual,
-        "pass": _verdict(residual, cv.std_error, cv.exact, z, abs_tol),
+        "residual": cv.value,
+        "pass": _verdict(cv.value, cv.std_error, cv.exact, z),
     }
 
 
@@ -266,7 +276,6 @@ def gauss_bonnet_check(
     cfg: AngleConfig | None = None,
     cache: AngleCache | None = None,
     z: float = DEFAULT_Z,
-    abs_tol: float = DEFAULT_ABS_TOL,
     weights: WeightFn = angle_defect_term,
 ) -> TheoremReport:
     """Alternating sum of ascending curvatures against the stratified Euler
@@ -280,17 +289,16 @@ def gauss_bonnet_check(
     total = _AngleForm()
     for tau, form in forms.items():
         total.add(form, Fraction(-1) ** (len(tau) - 1))
-    values = _evaluate(cache or AngleCache(embedded, cfg), {**forms, "total": total})
+    values = _evaluate(_require_cache(embedded, cfg, cache), {**forms, "total": total})
     lhs = values.pop("total")
-    rows = [_row(tau, cv, z, abs_tol) for tau, cv in values.items()]
+    rows = [_row(tau, cv, z) for tau, cv in values.items()]
     rhs = stratified_euler_characteristic(complex, assignment)
     residual = lhs.value - float(rhs)
-    passed = _verdict(residual, lhs.std_error, lhs.exact, z, abs_tol)
+    passed = _verdict(residual, lhs.std_error, lhs.exact, z)
     return TheoremReport(
         name="gauss-bonnet",
         passed=passed,
         z_threshold=z,
-        abs_tol=abs_tol,
         summary={
             "lhs": lhs.value,
             "lhs_std_error": lhs.std_error,
@@ -334,7 +342,6 @@ def vanishing_check(
     cfg: AngleConfig | None = None,
     cache: AngleCache | None = None,
     z: float = DEFAULT_Z,
-    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> TheoremReport:
     """Every ascending curvature of a qualifying odd-dimensional complex is
     statistically compatible with zero (and exactly zero where analytic)."""
@@ -349,9 +356,9 @@ def vanishing_check(
     forms = {tau: _ascending_form(tau, complex, assignment) for tau in complex.simplices()}
     rows = []
     exact_failures = 0
-    for tau, cv in _evaluate(cache or AngleCache(embedded, cfg), forms).items():
+    for tau, cv in _evaluate(_require_cache(embedded, cfg, cache), forms).items():
         p = len(tau) - 1
-        row = _row(tau, cv, z, abs_tol)
+        row = _row(tau, cv, z)
         analytic_zero = p % 2 == 1 or p >= complex.dim - 1
         row["analytic_zero"] = analytic_zero
         if analytic_zero and not (cv.exact and cv.value == 0.0):
@@ -364,7 +371,6 @@ def vanishing_check(
         name="vanishing",
         passed=passed,
         z_threshold=z,
-        abs_tol=abs_tol,
         summary={
             "simplices": len(rows),
             "worst_residual": worst["residual"],
@@ -380,10 +386,7 @@ def subdivision_relation_check(
     base_assignment: StratumAssignment | None = None,
     refined_assignment: StratumAssignment | None = None,
     cfg: AngleConfig | None = None,
-    base_cache: AngleCache | None = None,
-    refined_cache: AngleCache | None = None,
     z: float = DEFAULT_Z,
-    abs_tol: float = DEFAULT_ABS_TOL,
     weights: WeightFn = angle_defect_term,
 ) -> TheoremReport:
     """For every refined simplex tau with carrier zeta:
@@ -403,8 +406,8 @@ def subdivision_relation_check(
         zeta: _ascending_form(zeta, base.complex, base_assignment, weights)
         for zeta in set(pair.carrier.values())
     }
-    refined_values = _evaluate(refined_cache or AngleCache(refined, cfg), refined_forms)
-    base_values = _evaluate(base_cache or AngleCache(base, cfg), base_forms)
+    refined_values = _evaluate(AngleCache(refined, cfg), refined_forms)
+    base_values = _evaluate(AngleCache(base, cfg), base_forms)
     rows = []
     for tau, left in refined_values.items():
         s = len(tau) - 1
@@ -416,7 +419,7 @@ def subdivision_relation_check(
         residual = float(a_p) * left.value - float(a_s) * right.value
         std_error = math.hypot(float(a_p) * left.std_error, float(a_s) * right.std_error)
         exact = left.exact and right.exact
-        ok = _verdict(residual, std_error, exact, z, abs_tol)
+        ok = _verdict(residual, std_error, exact, z)
         row = {
             "simplex": list(tau),
             "carrier": list(zeta),
@@ -431,7 +434,7 @@ def subdivision_relation_check(
             eq_residual = left.value - right.value
             eq_std = math.hypot(left.std_error, right.std_error)
             row["equal_residual"] = eq_residual
-            row["pass"] = ok and _verdict(eq_residual, eq_std, exact, z, abs_tol)
+            row["pass"] = ok and _verdict(eq_residual, eq_std, exact, z)
         rows.append(row)
     passed = all(r["pass"] for r in rows)
     worst = max(rows, key=lambda r: abs(r["residual"]))
@@ -439,7 +442,6 @@ def subdivision_relation_check(
         name="subdivision",
         passed=passed,
         z_threshold=z,
-        abs_tol=abs_tol,
         summary={
             "simplices": len(rows),
             "worst_residual": worst["residual"],
@@ -482,8 +484,8 @@ def sommerville_check(
                 "alternating_std_error": alt.std_error,
                 "defect_residual": dev.value,
                 "defect_std_error": dev.std_error,
-                "pass": _verdict(alt.value, alt.std_error, alt.exact, z, DEFAULT_ABS_TOL)
-                and _verdict(dev.value, dev.std_error, dev.exact, z, DEFAULT_ABS_TOL),
+                "pass": _verdict(alt.value, alt.std_error, alt.exact, z)
+                and _verdict(dev.value, dev.std_error, dev.exact, z),
             }
         )
     worst = max(rows, key=lambda r: abs(r["alternating_residual"]))
@@ -491,7 +493,6 @@ def sommerville_check(
         name="sommerville",
         passed=all(r["pass"] for r in rows),
         z_threshold=z,
-        abs_tol=DEFAULT_ABS_TOL,
         summary={"pairs": len(rows), "worst_residual": worst["alternating_residual"]},
         rows=rows,
     )

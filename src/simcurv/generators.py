@@ -12,7 +12,12 @@ from importlib import resources
 
 import numpy as np
 
-from simcurv.complexes import SimplicialComplex
+from simcurv.complexes import (
+    SimplicialComplex,
+    cone_complex,
+    join_complexes,
+    suspension_complex,
+)
 from simcurv.geometry import EmbeddedComplex, GeometryError
 
 
@@ -74,13 +79,7 @@ def embedded_join(
     affinely independent.  Returns the join and the id mapping applied to the
     right factor."""
     d1, d2 = left.ambient_dim, right.ambient_dim
-    offset = max(left.complex.vertices()) + 1
-    mapping = {v: offset + i for i, v in enumerate(right.complex.vertices())}
-    maximal = [
-        m + tuple(sorted(mapping[v] for v in s))
-        for m in left.complex.maximal
-        for s in right.complex.maximal
-    ]
+    complex, mapping = join_complexes(left.complex, right.complex)
     coords: dict[int, np.ndarray] = {}
     for v in left.complex.vertices():
         coords[v] = np.concatenate([left.coordinates[v], np.zeros(d2), [0.0]])
@@ -88,36 +87,31 @@ def embedded_join(
         coords[mapping[v]] = np.concatenate(
             [np.zeros(d1), right.coordinates[v], [1.0]]
         )
-    joined = EmbeddedComplex(SimplicialComplex(maximal), coords, d1 + d2 + 1)
-    return joined, mapping
+    return EmbeddedComplex(complex, coords, d1 + d2 + 1), mapping
+
+
+def _lifted(
+    base: EmbeddedComplex, complex: SimplicialComplex, heights: dict[int, float]
+) -> EmbeddedComplex:
+    """``complex`` on the base vertices at height 0 in one new dimension, and
+    on new vertices over the base centroid at the given heights."""
+    coords = {v: np.concatenate([p, [0.0]]) for v, p in base.coordinates.items()}
+    centroid = np.mean([base.coordinates[v] for v in base.complex.vertices()], axis=0)
+    for v, height in heights.items():
+        coords[v] = np.concatenate([centroid, [height]])
+    return EmbeddedComplex(complex, coords, base.ambient_dim + 1)
 
 
 def embedded_cone(base: EmbeddedComplex) -> tuple[EmbeddedComplex, int]:
     """Cone with its apex one unit above the centroid, in one new dimension."""
-    apex = max(base.complex.vertices()) + 1
-    coords = {v: np.concatenate([p, [0.0]]) for v, p in base.coordinates.items()}
-    centroid = np.mean([base.coordinates[v] for v in base.complex.vertices()], axis=0)
-    coords[apex] = np.concatenate([centroid, [1.0]])
-    maximal = [m + (apex,) for m in base.complex.maximal]
-    return (
-        EmbeddedComplex(SimplicialComplex(maximal), coords, base.ambient_dim + 1),
-        apex,
-    )
+    complex, apex = cone_complex(base.complex)
+    return _lifted(base, complex, {apex: 1.0}), apex
 
 
 def embedded_suspension(base: EmbeddedComplex) -> tuple[EmbeddedComplex, tuple[int, int]]:
     """Suspension with poles one unit above and below the centroid."""
-    north = max(base.complex.vertices()) + 1
-    south = north + 1
-    coords = {v: np.concatenate([p, [0.0]]) for v, p in base.coordinates.items()}
-    centroid = np.mean([base.coordinates[v] for v in base.complex.vertices()], axis=0)
-    coords[north] = np.concatenate([centroid, [1.0]])
-    coords[south] = np.concatenate([centroid, [-1.0]])
-    maximal = [m + (pole,) for m in base.complex.maximal for pole in (north, south)]
-    return (
-        EmbeddedComplex(SimplicialComplex(maximal), coords, base.ambient_dim + 1),
-        (north, south),
-    )
+    complex, (north, south) = suspension_complex(base.complex)
+    return _lifted(base, complex, {north: 1.0, south: -1.0}), (north, south)
 
 
 def triple_book() -> EmbeddedComplex:

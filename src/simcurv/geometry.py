@@ -68,6 +68,8 @@ from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
 
 DEGENERACY_TOL = 1e-9
 _RANK_TOL = 1e-10
+# Gaussian vectors drawn per stream block of a Monte Carlo angle
+STREAM_BLOCK_VECTORS = 1 << 18
 
 
 class GeometryError(ValueError):
@@ -100,19 +102,15 @@ class AngleConfig:
     ``samples`` counts cone tests per angle.  Each Gaussian vector gives two
     (the cone and its mirror image), so an angle draws ceil(samples / 2)
     vectors and reports ``AngleValue.samples`` = 2 ceil(samples / 2).
-    ``block_size`` counts the vectors drawn per stream block.
     """
 
     samples: int = 1_000_000
     seed: int = 0
     threads: int | None = None
-    block_size: int = 1 << 18
 
     def __post_init__(self):
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000")
-        if self.block_size < 1:
-            raise ValueError("block_size must be positive")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 
@@ -228,7 +226,7 @@ def _estimate_cone_fraction(
     done = 0
     block = 0
     while done < vectors:
-        size = min(cfg.block_size, vectors - done)
+        size = min(STREAM_BLOCK_VECTORS, vectors - done)
         rng = _pair_stream(cfg, eta_index, sigma_index, block)
         hits += count_cone_hits(rng.standard_normal((size, c)), solve_t)
         done += size
@@ -394,7 +392,7 @@ class AngleCache:
         canonical = self.embedded.complex.canonical
         key = (canonical(eta), canonical(sigma))
         if key not in self._values:
-            self._values[key] = solid_angle(key[0], key[1], self.embedded, self.cfg)
+            self.fill([key])
         return self._values[key]
 
     def fill(self, pairs: Iterable[tuple[Simplex, Simplex]]) -> None:
@@ -412,14 +410,21 @@ class AngleCache:
         self._values.update(_closed_form_angles(pending, self.embedded))
         todo = [pair for pair in pending if pair not in self._values]
         workers = min(self.cfg.resolved_threads(), len(todo))
-        if workers <= 1:
-            for eta, sigma in todo:
-                self._values[eta, sigma] = solid_angle(eta, sigma, self.embedded, self.cfg)
-            return
-        results = _pool(workers).map(
-            lambda pair: solid_angle(pair[0], pair[1], self.embedded, self.cfg), todo
-        )
+        mapper = _pool(workers).map if workers > 1 else map
+        results = mapper(lambda pair: solid_angle(*pair, self.embedded, self.cfg), todo)
         self._values.update(zip(todo, results))
+
+
+def _require_cache(
+    embedded: EmbeddedComplex, cfg: AngleConfig | None, cache: AngleCache | None
+) -> AngleCache:
+    """``cache``, or a new cache for ``embedded`` and ``cfg`` when it is None;
+    a cache built for any other ``EmbeddedComplex`` raises ValueError."""
+    if cache is None:
+        return AngleCache(embedded, cfg)
+    if cache.embedded is not embedded:
+        raise ValueError("angle cache belongs to a different embedded complex")
+    return cache
 
 
 @dataclass(frozen=True)
@@ -536,7 +541,7 @@ def sommerville_residuals(
     sigma = as_simplex(sigma)
     tau = as_simplex(tau)
     alternating, defect = _sommerville_forms(sigma, tau)
-    book = cache or AngleCache(embedded, cfg)
+    book = _require_cache(embedded, cfg, cache)
     book.fill(alternating.coeffs.keys() | defect.coeffs.keys())
     alt = alternating.evaluate(book)
     dev = defect.evaluate(book)

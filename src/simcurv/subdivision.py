@@ -66,16 +66,14 @@ class SubdivisionPair:
                 )
 
 
-def _barycentric_coordinates(
-    point: np.ndarray, simplex_points: np.ndarray, tol: float = DEGENERACY_TOL
-) -> np.ndarray | None:
+def _barycentric_coordinates(point: np.ndarray, simplex_points: np.ndarray) -> np.ndarray | None:
     """Coefficients of ``point`` over the simplex vertices, or None if the
-    point is not in the affine hull (within tol)."""
+    point is not in the affine hull (within ``DEGENERACY_TOL``)."""
     k = len(simplex_points)
     system = np.vstack([simplex_points.T, np.ones((1, k))])
     target = np.concatenate([point, [1.0]])
     coeffs, *_ = np.linalg.lstsq(system, target, rcond=None)
-    if np.abs(system @ coeffs - target).max() > tol:
+    if np.abs(system @ coeffs - target).max() > DEGENERACY_TOL:
         return None
     return coeffs
 
@@ -91,12 +89,11 @@ def _solve_columns(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
 
 
-def locate_points(
-    embedded: EmbeddedComplex, points: np.ndarray, tol: float = DEGENERACY_TOL
-) -> list[Simplex | None]:
+def locate_points(embedded: EmbeddedComplex, points: np.ndarray) -> list[Simplex | None]:
     """For each row of ``points``, the simplex whose relative interior
     contains it (closed faces shared between simplices resolve to the face
-    itself), or None.
+    itself), or None.  Coefficients and residuals are compared with the
+    absolute ``DEGENERACY_TOL``.
 
     Top simplices are tried in sorted order and the first match wins; each
     one solves for the barycentric coordinates of all points still
@@ -112,23 +109,21 @@ def locate_points(
         system = np.vstack([embedded.points(gamma).T, np.ones((1, len(gamma)))])
         rhs = targets[:, todo]
         coeffs = _solve_columns(system, rhs)
-        support = coeffs > tol
-        hits = np.flatnonzero((coeffs.min(axis=0) >= -tol) & support.any(axis=0))
+        support = coeffs > DEGENERACY_TOL
+        hits = np.flatnonzero((coeffs.min(axis=0) >= -DEGENERACY_TOL) & support.any(axis=0))
         if not len(hits):
             continue
         residual = np.abs(system @ coeffs[:, hits] - rhs[:, hits]).max(axis=0)
-        hits = hits[residual <= tol]
+        hits = hits[residual <= DEGENERACY_TOL]
         for j in hits:
             found[todo[j]] = tuple(v for v, kept in zip(gamma, support[:, j]) if kept)
         todo = np.delete(todo, hits)
     return found
 
 
-def locate_point(
-    embedded: EmbeddedComplex, point: np.ndarray, tol: float = DEGENERACY_TOL
-) -> Simplex | None:
+def locate_point(embedded: EmbeddedComplex, point: np.ndarray) -> Simplex | None:
     """The simplex whose relative interior contains ``point``, or None."""
-    return locate_points(embedded, np.asarray(point, dtype=float)[None, :], tol)[0]
+    return locate_points(embedded, np.asarray(point, dtype=float)[None, :])[0]
 
 
 def compute_carriers(base: EmbeddedComplex, refined: EmbeddedComplex) -> dict[Simplex, Simplex]:

@@ -529,3 +529,43 @@ def test_verify_subdivision_rejects_duplicate_carrier_entries(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "more than one carrier entry for simplex [0, 4]" in err
+
+
+def _verify_stellar_book(capsys, tmp_path, base_overrides, refined_overrides):
+    """``verify subdivision`` on the triple book starred at its spine
+    triangle, with the given rank overrides in the base and refined files."""
+    base = cio.complex_to_dict(triple_book())
+    base_path = tmp_path / "book.json"
+    base_path.write_text(json.dumps(base))
+    code, out, _ = run_cli(capsys, "subdivide", str(base_path), "--stellar", "[0, 1, 2]")
+    assert code == 0
+    refined = json.loads(out)
+    base["rank_overrides"], refined["rank_overrides"] = base_overrides, refined_overrides
+    base_path.write_text(json.dumps(base))
+    refined_path = tmp_path / "refined.json"
+    refined_path.write_text(json.dumps(refined))
+    return run_cli(
+        capsys, "verify", "subdivision", str(refined_path), "--base", str(base_path),
+        "--samples", "2000", "--format", "json",
+    )
+
+
+def test_verify_subdivision_applies_rank_overrides_of_both_files(capsys, tmp_path):
+    code, plain, _ = _verify_stellar_book(capsys, tmp_path, [], [])
+    assert code == 0
+    override = [{"simplex": [0], "r": 6}]
+    for base_overrides, refined_overrides in ((override, []), ([], override)):
+        code, out, _ = _verify_stellar_book(capsys, tmp_path, base_overrides, refined_overrides)
+        assert code == 1 and out != plain
+        row = next(r for r in json.loads(out)["rows"] if r["simplex"] == [0])
+        assert not row["pass"]
+
+
+@pytest.mark.parametrize("side", ["base", "refined"])
+def test_verify_subdivision_rejects_override_of_unknown_simplex(capsys, tmp_path, side):
+    unknown = [{"simplex": [0, 99], "r": 6}]
+    overrides = (unknown, []) if side == "base" else ([], unknown)
+    code, out, err = _verify_stellar_book(capsys, tmp_path, *overrides)
+    assert code == 2
+    assert out == ""
+    assert "override references unknown simplex (0, 99)" in err

@@ -24,7 +24,13 @@ from simcurv.curvature import (
     vanishing_hypothesis_check,
 )
 from simcurv.generators import boundary_of_simplex, solid_simplex
-from simcurv.geometry import AngleCache, AngleConfig, _AngleForm, sommerville_residuals
+from simcurv.geometry import (
+    AngleCache,
+    AngleConfig,
+    EmbeddedComplex,
+    _AngleForm,
+    sommerville_residuals,
+)
 from simcurv.sequences import angle_defect_term
 from simcurv.stratification import stratify
 from simcurv.subdivision import barycentric_subdivide, stellar_subdivide
@@ -362,3 +368,32 @@ def test_checks_reject_a_bad_z(sphere3, z):
     for check in checks:
         with pytest.raises(ValueError, match="z must be a positive finite number"):
             check()
+
+
+def _scaled(embedded, factors):
+    """The same complex with coordinate axis i scaled by factors[i]."""
+    coords = {v: p * np.asarray(factors) for v, p in embedded.coordinates.items()}
+    return EmbeddedComplex(embedded.complex, coords, embedded.ambient_dim)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e, cache: generalized_angle_defect((0,), e, cache=cache),
+        lambda e, cache: stratified_curvature_at_vertex(0, e, cache=cache),
+        lambda e, cache: ascending_stratified_curvature((0,), e, cache=cache),
+        lambda e, cache: gauss_bonnet_check(e, cache=cache),
+        lambda e, cache: vanishing_check(e, cache=cache),
+        lambda e, cache: sommerville_residuals((0, 1, 2, 3), (0,), e, cache=cache),
+    ],
+    ids=["defect", "stratified", "ascending", "gauss_bonnet", "vanishing", "sommerville"],
+)
+def test_every_cache_parameter_refuses_another_embedding(sphere3, call):
+    # a stretched copy's angles differ, and its closed-form ones carry the exact
+    # flag; a copy with equal coordinates is another embedding all the same
+    cfg = AngleConfig(samples=1000, seed=1)
+    for other in (_scaled(sphere3, (1.0, 2.0, 3.0, 4.0)), _scaled(sphere3, (1.0,) * 4)):
+        cache = AngleCache(other, cfg)
+        with pytest.raises(ValueError, match="angle cache belongs to a different embedded complex"):
+            call(sphere3, cache)
+        assert not cache._values

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simcurv import geometry
 from simcurv.complexes import SimplicialComplex
 from simcurv.generators import (
     boundary_of_simplex,
@@ -116,14 +117,14 @@ def test_seed_determinism(solid_tet):
     assert other.value != first.value
 
 
-def test_block_split_invariance(solid_tet):
+def test_block_split_invariance(solid_tet, monkeypatch):
     # the estimate is a fixed function of (seed, pair); block size is internal
-    a = solid_angle(
-        (0,), (0, 1, 2, 3), solid_tet, AngleConfig(samples=64_000, seed=9, block_size=64_000)
-    )
-    b = solid_angle(
-        (0,), (0, 1, 2, 3), solid_tet, AngleConfig(samples=64_000, seed=9, block_size=16_000)
-    )
+    cfg = AngleConfig(samples=64_000, seed=9)
+    monkeypatch.setattr(geometry, "STREAM_BLOCK_VECTORS", 64_000)
+    a = solid_angle((0,), (0, 1, 2, 3), solid_tet, cfg)
+    monkeypatch.setattr(geometry, "STREAM_BLOCK_VECTORS", 16_000)
+    b = solid_angle((0,), (0, 1, 2, 3), solid_tet, cfg)
+    assert a.samples == b.samples == 64_000
     assert abs(a.value - b.value) < 4 * (a.std_error + b.std_error)
 
 
@@ -708,25 +709,29 @@ def _rotation(dim, seed):
     seed=st.integers(0, 10_000),
     log_scale=st.floats(-6.0, 6.0),
     extra_dims=st.integers(0, 2),
+    order=st.permutations(range(6)),
 )
-def test_closed_form_angles_are_invariant(n, seed, log_scale, extra_dims):
-    """Rigid motion, uniform scaling and a larger ambient space leave every
-    closed-form angle unchanged, to 1e-12 relative.  The shift is scaled with
-    the simplex: moving a 1e-6-sized simplex by 1 costs about 1e-10 of its
-    coordinates' relative precision before any angle is computed."""
+def test_closed_form_angles_are_invariant(n, seed, log_scale, extra_dims, order):
+    """Rigid motion, uniform scaling, vertex relabelling and a larger ambient
+    space leave every closed-form angle unchanged, to 1e-12 relative.  The
+    shift is scaled with the simplex: moving a 1e-6-sized simplex by 1 costs
+    about 1e-10 of its coordinates' relative precision before any angle is
+    computed.  Vertex v of the moved simplex gets the id ``relabel[v]``."""
     simplex = random_simplex(n, seed=seed)
     dim = n + extra_dims
     rotation = _rotation(dim, seed)
     shift = np.random.default_rng(seed + 1).standard_normal(dim)
     scale = 10.0**log_scale
+    relabel = dict(enumerate(v for v in order if v <= n))
     coords = {
-        v: scale * (rotation @ np.concatenate([p, np.zeros(extra_dims)]) + shift)
+        relabel[v]: scale * (rotation @ np.concatenate([p, np.zeros(extra_dims)]) + shift)
         for v, p in simplex.coordinates.items()
     }
-    moved = EmbeddedComplex(simplex.complex, coords, dim)
+    moved = EmbeddedComplex(simplex.complex.relabel(relabel), coords, dim)
     pairs = [(e, s) for e, s in top_angle_pairs(simplex.complex) if len(s) - len(e) <= 2]
+    images = [tuple(tuple(sorted(relabel[v] for v in f)) for f in pair) for pair in pairs]
     before, after = AngleCache(simplex, FAST), AngleCache(moved, FAST)
     before.fill(pairs)
-    after.fill(pairs)
-    for pair in pairs:
-        assert after.angle(*pair).value == pytest.approx(before.angle(*pair).value, rel=1e-12, abs=0.0)
+    after.fill(images)
+    for pair, image in zip(pairs, images):
+        assert after.angle(*image).value == pytest.approx(before.angle(*pair).value, rel=1e-12, abs=0.0)

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -39,3 +40,19 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["a_0 = 1", "a_1 = 0", "a_2 = -1/2"]
+
+
+def test_every_tracer_target_resolves():
+    """Each function or method the benchmark's span tracer wraps still
+    exists; a deletion that drops one blinds that part of the trace."""
+    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # defines TARGETS; wraps nothing until installed
+    assert spans.TARGETS
+    for _, module_name, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{module_name}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
