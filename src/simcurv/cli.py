@@ -54,14 +54,22 @@ def _open_input(path: str):
     return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
 
 
-def _read_complex(path: str):
+def _load_input(path: str, load):
+    """``load`` applied to the input ``path`` ("-" is stdin); a file that
+    cannot be opened or parsed is an input error naming the path."""
     try:
         with _open_input(path) as stream:
-            return io.load_complex(stream)
+            return load(stream)
     except FileNotFoundError as exc:
         raise _CliError(f"{path}: no such file") from exc
-    except ValueError as exc:  # malformed JSON, content or geometry
+    except OSError as exc:  # a directory, no read permission, ...
+        raise _CliError(f"{path}: {exc.strerror or exc}") from exc
+    except (KeyError, ValueError) as exc:  # malformed JSON, content or geometry
         raise _CliError(f"{path}: {exc}") from exc
+
+
+def _read_complex(path: str):
+    return _load_input(path, io.load_complex)
 
 
 def _read_sidecar(path: str, parse):
@@ -270,14 +278,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    try:
-        with _open_input(args.points) as stream:
-            points = io.load_points(stream)
-    except FileNotFoundError as exc:
-        raise _CliError(f"{args.points}: no such file") from exc
-    except (json.JSONDecodeError, KeyError, FileFormatError, ValueError) as exc:
-        raise _CliError(f"{args.points}: {exc}") from exc
-    embedded = convex_hull_boundary(points)
+    embedded = convex_hull_boundary(_load_input(args.points, io.load_points))
     io.dump_complex(embedded, sys.stdout)
     return EXIT_OK
 
@@ -297,11 +298,14 @@ def _cmd_subdivide(args) -> int:
             pair = stellar_subdivide(embedded, simplex)
         except KeyError as exc:
             raise _CliError(str(exc)) from exc
+    if args.carrier_out:  # written first, so a bad path prints nothing
+        try:
+            with open(args.carrier_out, "w", encoding="utf-8") as stream:
+                json.dump(io.carrier_to_list(pair), stream, indent=2)
+                stream.write("\n")
+        except OSError as exc:
+            raise _CliError(f"{args.carrier_out}: {exc.strerror or exc}") from exc
     io.dump_complex(pair.refined, sys.stdout)
-    if args.carrier_out:
-        with open(args.carrier_out, "w", encoding="utf-8") as stream:
-            json.dump(io.carrier_to_list(pair), stream, indent=2)
-            stream.write("\n")
     return EXIT_OK
 
 

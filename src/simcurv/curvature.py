@@ -5,10 +5,13 @@ Every curvature of a simplex is an affine expression
     exact rational constant  +  sum of rational coefficients * solid angles,
 
 so curvatures and theorem residuals are accumulated symbolically as linear
-forms over (face, top-simplex) angle pairs and evaluated once against a
-shared angle cache.  Identical pairs therefore cancel exactly, and the
-reported standard error is the propagated error of the independent Monte
-Carlo estimates that actually remain in the combination.
+forms over (face, top-simplex) angle pairs, with integer numerators over one
+denominator per form, and evaluated once against a shared angle cache.
+Identical pairs therefore cancel exactly, and the reported standard error is
+the propagated error of the independent Monte Carlo estimates that actually
+remain in the combination.  Each form builder picks an even denominator
+(4 times the weight's denominator for ascending forms, 2 lcm(1, ..., n - 1)
+for stratified ones), so every rank r/2 times a scale is an integer.
 
 Every curvature and every check (Gauss-Bonnet, vanishing, subdivision,
 Sommerville) builds its forms and hands them to ``_evaluate``, which fills
@@ -55,27 +58,31 @@ class HypothesisError(ValueError):
 def _add_defects(
     form: _AngleForm,
     eta: Simplex,
-    scale: Fraction,
+    scale: int,
     complex: SimplicialComplex,
     assignment: StratumAssignment,
 ) -> None:
-    """Add ``scale`` times the angle defect of eta (rank(eta) minus the angles
-    of its top cofaces) to ``form``.
+    """Add ``scale / form.den`` times the angle defect of eta (rank(eta) minus
+    the angles of its top cofaces) to ``form``.
 
-    None of eta's pairs may be in the form yet: each coefficient is written,
-    not merged through ``_AngleForm.add``, in the order ``add`` would insert
-    it, so evaluation sums the same floats in the same order.
+    ``scale`` is an even integer numerator, so ``scale`` times a rank r/2 is
+    an integer too.  None of eta's pairs may be in the form yet: each
+    coefficient is written, not merged through ``_AngleForm.add``, in the
+    order ``add`` would insert it, so evaluation sums the same floats in the
+    same order.
     """
-    form.const += scale * assignment.rank(eta)
+    rank = assignment.rank(eta)
+    form.const += scale * rank.numerator // rank.denominator
+    coeffs = form.coeffs
     for sigma in complex.top_cofaces(eta):
-        form.coeffs[(eta, sigma)] = -scale
+        coeffs[(eta, sigma)] = -scale
 
 
 def _defect_form(
     eta: Simplex, complex: SimplicialComplex, assignment: StratumAssignment
 ) -> _AngleForm:
-    form = _AngleForm()
-    _add_defects(form, eta, Fraction(1), complex, assignment)
+    form = _AngleForm(den=2)
+    _add_defects(form, eta, 2, complex, assignment)
     return form
 
 
@@ -87,25 +94,31 @@ def _ascending_form(
 ) -> _AngleForm:
     p = len(tau) - 1
     a_p = weights(p)
-    form = _AngleForm()
     if a_p == 0:
-        return form
-    _add_defects(form, tau, a_p, complex, assignment)
+        return _AngleForm()
+    # a_p = 4 a_p.numerator / den and a_p / 2 = 2 a_p.numerator / den
+    form = _AngleForm(den=4 * a_p.denominator)
+    _add_defects(form, tau, 4 * a_p.numerator, complex, assignment)
+    half = (2 * a_p.numerator, -2 * a_p.numerator)  # a_p / 2 times (-1)^(i - p)
     for eta in complex.star(tau):
         i = len(eta) - 1
         if i > p:
-            _add_defects(form, eta, a_p / 2 * (-1) ** (i - p), complex, assignment)
+            _add_defects(form, eta, half[(i - p) % 2], complex, assignment)
     return form
 
 
 def _stratified_form(
     v: Simplex, complex: SimplicialComplex, assignment: StratumAssignment
 ) -> _AngleForm:
-    form = _AngleForm()
+    # weights (-1)^i / (i + 1) for i <= n - 2, over the even denominator
+    # 2 lcm(1, ..., n - 1)
+    den = 2 * math.lcm(*range(1, complex.dim))
+    scales = [(-1) ** i * den // (i + 1) for i in range(complex.dim - 1)]
+    form = _AngleForm(den=den)
     for eta in complex.star(v):
         i = len(eta) - 1
         if i <= complex.dim - 2:
-            _add_defects(form, eta, Fraction((-1) ** i, i + 1), complex, assignment)
+            _add_defects(form, eta, scales[i], complex, assignment)
     return form
 
 
@@ -288,7 +301,7 @@ def gauss_bonnet_check(
     forms = {tau: _ascending_form(tau, complex, assignment, weights) for tau in complex.simplices()}
     total = _AngleForm()
     for tau, form in forms.items():
-        total.add(form, Fraction(-1) ** (len(tau) - 1))
+        total.add(form, (-1) ** (len(tau) - 1))
     values = _evaluate(_require_cache(embedded, cfg, cache), {**forms, "total": total})
     lhs = values.pop("total")
     rows = [_row(tau, cv, z) for tau, cv in values.items()]

@@ -44,11 +44,15 @@ block index) tuple keys an independent SFC64 stream through a
 thread count or evaluation order.  The membership count is the single
 numpy kernel in ``simcurv._kernels``.
 
-Linear combinations of angles are held as ``_AngleForm``s (an exact rational
-constant plus rational coefficients on (face, top-simplex) pairs) and
-evaluated against an ``AngleCache`` filled with their pairs.  Sommerville's identity is built from
-two such forms here; the curvatures and theorem checks in
-``simcurv.curvature`` build theirs from the same class.
+Linear combinations of angles are held as ``_AngleForm``s: an integer
+constant and integer coefficients on (face, top-simplex) pairs, all over one
+common denominator, evaluated against an ``AngleCache`` filled with their
+pairs.  Rational angles are summed exactly as integer numerators; each float
+angle is weighted by ``c / den``, which Python rounds correctly, so a form
+gives the same floats, summed in the same order, as ``Fraction`` weights of
+the same values.  Sommerville's identity is built from two such forms here;
+the curvatures and theorem checks in ``simcurv.curvature`` build theirs from
+the same class.
 """
 
 from __future__ import annotations
@@ -167,9 +171,24 @@ class EmbeddedComplex:
                 f"ambient dimension {self.ambient_dim} below complex dimension {complex.dim}"
             )
         self.coordinates = coords
-        for m in complex.maximal:
-            if _affine_rank(self.points(m)) != len(m) - 1:
-                raise GeometryError(f"simplex {m} is affinely degenerate")
+        # one stacked SVD per maximal-simplex size; the first degenerate
+        # simplex in ``complex.maximal`` order is the one reported
+        maximal = list(complex.maximal)
+        sizes: dict[int, list[int]] = {}
+        for index, m in enumerate(maximal):
+            sizes.setdefault(len(m), []).append(index)
+        degenerate = []
+        for size, indices in sizes.items():
+            if size < 2:
+                continue
+            points = np.array([[coords[v] for v in maximal[i]] for i in indices])
+            s = np.linalg.svd(points[:, 1:] - points[:, :1], compute_uv=False)
+            # relative to each simplex's largest singular value, so a shape's
+            # rank does not depend on its size
+            rank = (s > _RANK_TOL * s[:, :1]).sum(axis=1)
+            degenerate += [indices[j] for j in np.flatnonzero(rank != size - 1)]
+        if degenerate:
+            raise GeometryError(f"simplex {maximal[min(degenerate)]} is affinely degenerate")
 
     def points(self, simplex: Iterable[int]) -> np.ndarray:
         return np.array([self.coordinates[v] for v in simplex], dtype=float)
@@ -181,20 +200,11 @@ class EmbeddedComplex:
         return f"EmbeddedComplex(dim={self.complex.dim}, ambient={self.ambient_dim})"
 
 
-def _affine_rank(points: np.ndarray) -> int:
-    if len(points) <= 1:
-        return 0
-    s = np.linalg.svd(points[1:] - points[0], compute_uv=False)
-    # relative to the largest singular value, so a shape's rank does not
-    # depend on its size
-    return int((s > _RANK_TOL * s[0]).sum())
-
-
 def _orthonormal_rows(vectors: np.ndarray, expect_rank: int) -> np.ndarray:
     """Orthonormal bases (rows) of the row spaces of a (k, m, d) stack of
     matrices, as a (k, expect_rank, d) stack; errors if a rank is short."""
     _, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    # relative to each matrix's largest singular value, as in _affine_rank
+    # relative to each matrix's largest singular value, as in EmbeddedComplex
     rank = (s > _RANK_TOL * s[:, :1]).sum(axis=1)
     short = np.flatnonzero(rank != expect_rank)
     if short.size:
@@ -440,40 +450,67 @@ class CurvatureValue:
 
 @dataclass
 class _AngleForm:
-    """const + sum(coeffs[pair] * angle(pair)) with exact rational weights."""
+    """(const + sum(coeffs[pair] * angle(pair))) / den, with integer
+    numerators over one common positive denominator."""
 
-    const: Fraction = Fraction(0)
-    coeffs: dict[tuple[Simplex, Simplex], Fraction] = field(default_factory=dict)
+    const: int = 0
+    coeffs: dict[tuple[Simplex, Simplex], int] = field(default_factory=dict)
+    den: int = 1
 
-    def add(self, other: "_AngleForm", scale: Fraction = Fraction(1)) -> None:
+    def add(self, other: "_AngleForm", scale: Fraction | int = 1) -> None:
+        """Add ``scale`` times ``other``.  The denominator grows to the lcm
+        only when ``other`` brings a new one; a coefficient that cancels to
+        zero is removed, and new pairs are appended in ``other``'s order."""
+        scale = Fraction(scale)
         if scale == 0:
             return
-        self.const += scale * other.const
+        den = scale.denominator * other.den
+        if self.den % den:
+            lcm = math.lcm(self.den, den)
+            up = lcm // self.den
+            self.const *= up
+            for pair in self.coeffs:
+                self.coeffs[pair] *= up
+            self.den = lcm
+        k = scale.numerator * (self.den // den)
+        self.const += k * other.const
+        coeffs = self.coeffs
         for pair, c in other.coeffs.items():
-            new = self.coeffs.get(pair, Fraction(0)) + scale * c
+            new = coeffs.get(pair, 0) + k * c
             if new == 0:
-                self.coeffs.pop(pair, None)
+                coeffs.pop(pair, None)
             else:
-                self.coeffs[pair] = new
+                coeffs[pair] = new
 
     def evaluate(self, cache: AngleCache) -> CurvatureValue:
-        """The form's value against a cache already filled with its pairs."""
-        rational = self.const
+        """The form's value against a cache already filled with its pairs.
+
+        Rational angles are summed exactly, as integer numerators per angle
+        denominator; each float angle gets the weight c / den.  Integer true
+        division is correctly rounded, so every float is the one a
+        ``Fraction`` of the same value converts to.
+        """
+        rational: dict[int, int] = {}  # angle denominator -> numerator
         float_part = 0.0
         variance = 0.0
         exact = True
+        den = self.den
         values = cache._values  # form keys are canonical, like the cache's
-        for pair, coeff in self.coeffs.items():
+        for pair, c in self.coeffs.items():
             angle = values[pair]
-            if angle.rational is not None:
-                rational += coeff * angle.rational
+            r = angle.rational
+            if r is not None:
+                rational[r.denominator] = rational.get(r.denominator, 0) + c * r.numerator
                 continue
-            float_part += float(coeff) * angle.value
-            variance += (float(coeff) * angle.std_error) ** 2
+            weight = c / den
+            float_part += weight * angle.value
+            variance += (weight * angle.std_error) ** 2
             if angle.method != "exact":
                 exact = False
+        lcm = math.lcm(*rational)
+        numerator = self.const * lcm + sum(n * (lcm // d) for d, n in rational.items())
         return CurvatureValue(
-            float(rational) + float_part, math.sqrt(variance), exact and variance == 0.0
+            numerator / (den * lcm) + float_part, math.sqrt(variance), exact and variance == 0.0
         )
 
 
@@ -502,17 +539,16 @@ def _sommerville_forms(sigma: Simplex, tau: Simplex) -> tuple[_AngleForm, _Angle
     if not set(tau) <= set(sigma):
         raise GeometryError(f"{tau} is not a face of {sigma}")
     extra = [v for v in sigma if v not in tau]
-    alternating = _AngleForm(coeffs={(tau, sigma): Fraction(-2)})
-    defect = _AngleForm(
-        const=Fraction(n - p, 4) - Fraction(1, 2), coeffs={(tau, sigma): Fraction(1)}
-    )
+    # both forms over the denominator 4
+    alternating = _AngleForm(coeffs={(tau, sigma): -8}, den=4)
+    defect = _AngleForm(const=n - p - 2, coeffs={(tau, sigma): 4}, den=4)
     for i in range(p + 1, n + 1):
         sign = (-1) ** (i - p + 1)
         for rest in combinations(extra, i - p):
             eta = as_simplex(tau + rest)
-            alternating.coeffs[(eta, sigma)] = Fraction(sign)
+            alternating.coeffs[(eta, sigma)] = 4 * sign
             if i <= n - 2:
-                defect.coeffs[(eta, sigma)] = Fraction((-1) ** i, 2)
+                defect.coeffs[(eta, sigma)] = 2 * (-1) ** i
     return alternating, defect
 
 
@@ -545,7 +581,7 @@ def sommerville_residuals(
     book.fill(alternating.coeffs.keys() | defect.coeffs.keys())
     alt = alternating.evaluate(book)
     dev = defect.evaluate(book)
-    rhs_defect = -defect.const
+    rhs_defect = Fraction(-defect.const, defect.den)
     return {
         "sigma": sigma,
         "tau": tau,

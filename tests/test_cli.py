@@ -569,3 +569,34 @@ def test_verify_subdivision_rejects_override_of_unknown_simplex(capsys, tmp_path
     assert code == 2
     assert out == ""
     assert "override references unknown simplex (0, 99)" in err
+
+
+@pytest.mark.parametrize("target", ["missing/carrier.json", "."], ids=["missing_dir", "directory"])
+def test_unwritable_carrier_out_exits_2_printing_nothing(capsys, tmp_path, target):
+    path = tmp_path / "dD3.json"
+    with path.open("w") as handle:
+        cio.dump_complex(boundary_of_simplex(3), handle)
+    carrier_out = tmp_path / target
+    code, out, err = run_cli(
+        capsys, "subdivide", str(path), "--barycentric", "--carrier-out", str(carrier_out)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {carrier_out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["info", "strata", "hull"])
+def test_directory_input_exits_2(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, command, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["info", "strata", "hull"])
+def test_missing_input_exits_2_naming_no_such_file(capsys, tmp_path, command):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, command, str(missing))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {missing}: no such file\n"

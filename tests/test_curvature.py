@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import simcurv.curvature as curvature_module
 from simcurv.curvature import (
     HypothesisError,
     _ascending_form,
@@ -298,9 +299,10 @@ def test_curvature_table_rejects_unknown_kind(sphere2):
 
 
 def _reference_defect_form(eta, complex, assignment):
-    form = _AngleForm(const=assignment.rank(eta))
+    rank = assignment.rank(eta)
+    form = _AngleForm(const=rank.numerator, den=rank.denominator)
     for sigma in complex.top_cofaces(eta):
-        form.coeffs[(eta, sigma)] = form.coeffs.get((eta, sigma), Fraction(0)) - 1
+        form.coeffs[(eta, sigma)] = form.coeffs.get((eta, sigma), 0) - rank.denominator
     return form
 
 
@@ -329,6 +331,12 @@ def _merged_stratified_form(v, complex, assignment):
     return form
 
 
+def _fractions(form):
+    """A form's constant and its (pair, coefficient) list, in order, as exact
+    fractions."""
+    return Fraction(form.const, form.den), [(pair, Fraction(c, form.den)) for pair, c in form.coeffs.items()]
+
+
 @pytest.mark.parametrize(
     "weights", [angle_defect_term, lambda n: Fraction(1)], ids=["a_n", "constant_one"]
 )
@@ -351,8 +359,133 @@ def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, wei
             for s in complex.simplices()
         ]
         for form, reference in pairs:
-            assert form.const == reference.const
-            assert list(form.coeffs.items()) == list(reference.coeffs.items())  # order too
+            const, coeffs = _fractions(form)
+            reference_const, reference_coeffs = _fractions(reference)
+            assert const == reference_const
+            assert coeffs == reference_coeffs  # order too
+
+
+# -- integer-numerator forms against Fraction arithmetic ----------------------
+
+
+def _fraction_evaluate(form, cache):
+    """Reference: a form evaluated with ``Fraction`` weights, summing the
+    same floats in the same order."""
+    rational = Fraction(form.const, form.den)
+    float_part = 0.0
+    variance = 0.0
+    exact = True
+    for pair, c in form.coeffs.items():
+        coeff = Fraction(c, form.den)
+        angle = cache._values[pair]
+        if angle.rational is not None:
+            rational += coeff * angle.rational
+            continue
+        float_part += float(coeff) * angle.value
+        variance += (float(coeff) * angle.std_error) ** 2
+        if angle.method != "exact":
+            exact = False
+    return float(rational) + float_part, math.sqrt(variance), exact and variance == 0.0
+
+
+def _bits(value, std_error, exact):
+    return value.hex(), std_error.hex(), exact
+
+
+def _recorded_evaluations(monkeypatch):
+    """Every (cache, forms, values) that ``curvature._evaluate`` sees."""
+    calls = []
+    original = curvature_module._evaluate
+
+    def recording(book, forms):
+        values = original(book, forms)
+        calls.append((book, forms, dict(values)))  # the caller may pop from values
+        return values
+
+    monkeypatch.setattr(curvature_module, "_evaluate", recording)
+    return calls
+
+
+def _assert_evaluations_match_fractions(calls):
+    assert calls
+    for book, forms, values in calls:
+        for key, form in forms.items():
+            cv = values[key]
+            assert _bits(cv.value, cv.std_error, cv.exact) == _bits(*_fraction_evaluate(form, book))
+
+
+def test_evaluation_matches_fraction_arithmetic_bit_for_bit(monkeypatch, sphere3, book):
+    cfg = AngleConfig(samples=2000, seed=5)
+    sd1 = barycentric_subdivide(boundary_of_simplex(3)).refined
+    sd2 = barycentric_subdivide(sd1)
+    calls = _recorded_evaluations(monkeypatch)
+    for embedded in (sd2.refined, book, sphere3):
+        gauss_bonnet_check(embedded, cfg=cfg)
+        curvature_table(embedded, "stratified", cfg=cfg)
+    subdivision_relation_check(sd2, cfg=cfg)
+    subdivision_relation_check(barycentric_subdivide(book), cfg=cfg)
+    _assert_evaluations_match_fractions(calls)
+    # sphere3 and the book carry Monte Carlo angles
+    assert any(not cv.exact for _, _, values in calls for cv in values.values())
+
+
+# 10^20 + 2049 is above 2^53: converting it to float before dividing rounds
+# twice and gives another float than the correctly rounded quotient
+HUGE = Fraction(10**20 + 2049, 3)
+
+
+def test_weights_above_float_precision_give_correctly_rounded_floats(monkeypatch, sphere2, book):
+    assert float(HUGE.numerator) / HUGE.denominator != float(HUGE)
+    assert _AngleForm(const=HUGE.numerator, den=HUGE.denominator).evaluate(
+        AngleCache(sphere2)
+    ).value == float(HUGE)
+    calls = _recorded_evaluations(monkeypatch)
+    cfg = AngleConfig(samples=2000, seed=5)
+    for embedded in (sphere2, book):
+        gauss_bonnet_check(embedded, cfg=cfg, weights=lambda p: HUGE)
+    _assert_evaluations_match_fractions(calls)
+    # a wedge angle weighted by HUGE, against the exact weight's float
+    cache = AngleCache(sphere2)
+    pair = ((0,), (0, 1, 2))
+    cache.fill([pair])
+    form = _AngleForm(coeffs={pair: HUGE.numerator}, den=HUGE.denominator)
+    assert form.evaluate(cache).value == float(HUGE) * cache._values[pair].value
+
+
+def test_add_matches_fraction_arithmetic():
+    pairs = [((v,), (0, 1, 2, v + 3)) for v in range(6)]
+    a = _AngleForm(const=3, coeffs={pairs[0]: 1, pairs[1]: -5, pairs[2]: 7}, den=2)
+    b = _AngleForm(const=-1, coeffs={pairs[3]: 2, pairs[1]: 4, pairs[4]: -1}, den=5)
+    c = _AngleForm(const=2, coeffs={pairs[5]: 3, pairs[0]: -1}, den=7)
+    steps = [
+        (a, Fraction(1, 3)),
+        (b, Fraction(-17, 4)),
+        (a, 1),
+        (b, Fraction(17, 4)),  # cancels b's pairs to exactly zero
+        (a, Fraction(-4, 3)),  # and then a's
+        (b, Fraction(0)),  # a zero scale adds nothing
+        (b, 2),
+        (a, Fraction(5, 6)),
+        (c, 1),  # a denominator below the form's, but not one of its divisors
+        (a, Fraction(1, 9)),
+    ]
+    form = _AngleForm()
+    const, coeffs = Fraction(0), {}
+    for other, scale in steps:
+        form.add(other, scale)
+        scale = Fraction(scale)
+        if scale == 0:
+            continue
+        other_const, other_coeffs = _fractions(other)
+        const += scale * other_const
+        for pair, c in other_coeffs:
+            new = coeffs.get(pair, Fraction(0)) + scale * c
+            if new == 0:
+                coeffs.pop(pair, None)
+            else:
+                coeffs[pair] = new
+        assert _fractions(form) == (const, list(coeffs.items()))
+    assert [pair for pair, _ in _fractions(form)[1]] == [pairs[3], pairs[1], pairs[4], pairs[0], pairs[2], pairs[5]]
 
 
 @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simcurv import geometry
-from simcurv.complexes import SimplicialComplex
+from simcurv.complexes import SimplicialComplex, as_simplex
 from simcurv.generators import (
     boundary_of_simplex,
     cross_polytope,
@@ -421,6 +422,27 @@ def test_coplanar_tetrahedron_is_rejected_at_every_scale(scale):
     coords = {v: np.array(p) * scale for v, p in coplanar.items()}
     with pytest.raises(GeometryError, match="affinely degenerate"):
         EmbeddedComplex(SimplicialComplex([(0, 1, 2, 3)]), coords)
+
+
+def test_first_degenerate_maximal_simplex_is_named():
+    # a non-pure complex with a degenerate triangle (collinear) and a
+    # degenerate edge (one point twice), relabelled so that either comes
+    # first in ``complex.maximal`` order
+    points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 1),
+              (3, 0, 0), (3, 1, 0), (0, 3, 0), (0, 3, 0)]
+    maximal = [(0, 1, 2), (3, 4, 5), (6, 7), (8, 9)]
+    rng = np.random.default_rng(4)
+    named_sizes = set()
+    for _ in range(20):
+        label = rng.permutation(40)[: len(points)]
+        complex = SimplicialComplex([[int(label[v]) for v in m] for m in maximal])
+        coords = {int(label[v]): np.array(p, dtype=float) for v, p in enumerate(points)}
+        degenerate = {as_simplex(int(label[v]) for v in m) for m in maximal[1::2]}
+        first = next(m for m in complex.maximal if m in degenerate)
+        with pytest.raises(GeometryError, match=re.escape(f"simplex {first} is affinely degenerate")):
+            EmbeddedComplex(complex, coords)
+        named_sizes.add(len(first))
+    assert named_sizes == {2, 3}
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -119,11 +119,14 @@ def test_geometric_fidelity(sphere2):
     pair = barycentric_subdivide(sphere2)
     rng = np.random.Generator(np.random.Philox(17))
     maximal = sorted(sphere2.complex.maximal)
-    for _ in range(10_000 // len(maximal)):
-        for gamma in maximal:
-            weights = rng.dirichlet(np.ones(len(gamma)))
-            point = weights @ sphere2.points(gamma)
-            assert locate_point(pair.refined, point) is not None
+    points = [
+        rng.dirichlet(np.ones(len(gamma))) @ sphere2.points(gamma)
+        for _ in range(10_000 // len(maximal))
+        for gamma in maximal
+    ]
+    found = locate_points(pair.refined, np.array(points))
+    assert len(found) == len(points)
+    assert all(simplex is not None for simplex in found)
 
 
 def test_locate_point_misses_outside(sphere2):
