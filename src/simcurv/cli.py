@@ -32,7 +32,7 @@ from simcurv.geometry import (
     convex_hull_boundary,
     top_angle_pairs,
 )
-from simcurv.io import FileFormatError, format_fraction, json_ready
+from simcurv.io import FileFormatError, format_fraction
 from simcurv.stratification import stratified_euler_characteristic, stratify
 from simcurv.subdivision import (
     SubdivisionPair,
@@ -106,7 +106,7 @@ def _emit_rows(fmt: str, rows: list[dict], payload=None, footer=()) -> None:
     """Print ``payload`` (default: the rows) as JSON, or the rows as a table
     with the footer lines under it."""
     if fmt == "json":
-        print(json.dumps(json_ready(rows if payload is None else payload), indent=2))
+        print(json.dumps(rows if payload is None else payload, indent=2, default=io.json_default))
         return
     _print_table(list(rows[0]), [[_cell(v) for v in row.values()] for row in rows])
     for line in footer:
@@ -125,7 +125,7 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 def _emit_report(report: TheoremReport, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(json_ready(report.to_dict()), indent=2))
+        print(json.dumps(report.to_dict(), indent=2, default=io.json_default))
         return
     s = report.summary
     print(f"check: {report.name}")

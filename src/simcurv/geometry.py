@@ -50,9 +50,12 @@ common denominator, evaluated against an ``AngleCache`` filled with their
 pairs.  Rational angles are summed exactly as integer numerators; each float
 angle is weighted by ``c / den``, which Python rounds correctly, so a form
 gives the same floats, summed in the same order, as ``Fraction`` weights of
-the same values.  Sommerville's identity is built from two such forms here;
-the curvatures and theorem checks in ``simcurv.curvature`` build theirs from
-the same class.
+the same values.  The forms that the package builds hold no pair of
+codimension 0 or 1: those angles are the constants of ``_CONSTANT_ANGLES``,
+folded into the form's constant, so a fill computes no cone generators for
+them.  Sommerville's identity is built from two such forms here; the
+curvatures and theorem checks in ``simcurv.curvature`` build theirs from the
+same class.
 """
 
 from __future__ import annotations
@@ -196,6 +199,20 @@ class EmbeddedComplex:
     def barycenter(self, simplex: Iterable[int]) -> np.ndarray:
         return self.points(simplex).mean(axis=0)
 
+    def barycenters(self, simplices: Sequence[Sequence[int]]) -> np.ndarray:
+        """The barycenters of ``simplices`` as the rows of one array, in order,
+        with one stacked mean per simplex size (the same bits as
+        ``barycenter``)."""
+        rows: dict[int, list[int]] = {}
+        for i, simplex in enumerate(simplices):
+            rows.setdefault(len(simplex), []).append(i)
+        coords = self.coordinates
+        centers = np.empty((len(simplices), self.ambient_dim))
+        for indices in rows.values():
+            points = np.array([[coords[v] for v in simplices[i]] for i in indices])
+            centers[indices] = points.mean(axis=1)
+        return centers
+
     def __repr__(self) -> str:
         return f"EmbeddedComplex(dim={self.complex.dim}, ambient={self.ambient_dim})"
 
@@ -294,8 +311,13 @@ def projected_cone_generators(
     return _cone_generators([(as_simplex(eta), as_simplex(sigma))], embedded)[0]
 
 
-_FULL = AngleValue(1.0, 0.0, "exact", rational=Fraction(1))
-_HALF = AngleValue(0.5, 0.0, "exact", rational=Fraction(1, 2))
+# The angles that are constants, keyed by codimension: a simplex along itself
+# (1) and along a facet (1/2).  Forms never hold such a pair: they fold its
+# angle into their constant.
+_CONSTANT_ANGLES = {
+    0: AngleValue(1.0, 0.0, "exact", rational=Fraction(1)),
+    1: AngleValue(0.5, 0.0, "exact", rational=Fraction(1, 2)),
+}
 
 
 def _wedge_angles(generators: np.ndarray) -> list[AngleValue]:
@@ -311,8 +333,8 @@ def _wedge_angles(generators: np.ndarray) -> list[AngleValue]:
 # The closed forms, keyed by codimension: each maps a (k, c, c) stack of cone
 # generators to k angles.  Every other codimension is estimated by Monte Carlo.
 _CLOSED_FORMS = {
-    0: lambda generators: [_FULL] * len(generators),
-    1: lambda generators: [_HALF] * len(generators),
+    0: lambda generators: [_CONSTANT_ANGLES[0]] * len(generators),
+    1: lambda generators: [_CONSTANT_ANGLES[1]] * len(generators),
     2: _wedge_angles,
 }
 
@@ -542,13 +564,18 @@ def _sommerville_forms(sigma: Simplex, tau: Simplex) -> tuple[_AngleForm, _Angle
     # both forms over the denominator 4
     alternating = _AngleForm(coeffs={(tau, sigma): -8}, den=4)
     defect = _AngleForm(const=n - p - 2, coeffs={(tau, sigma): 4}, den=4)
-    for i in range(p + 1, n + 1):
+    for i in range(p + 1, n - 1):
         sign = (-1) ** (i - p + 1)
         for rest in combinations(extra, i - p):
             eta = as_simplex(tau + rest)
             alternating.coeffs[(eta, sigma)] = 4 * sign
-            if i <= n - 2:
-                defect.coeffs[(eta, sigma)] = 2 * (-1) ** i
+            defect.coeffs[(eta, sigma)] = 2 * (-1) ** i
+    # the n - p facets of sigma over tau (i = n - 1) and sigma itself (i = n)
+    # have constant angles, folded into the constant
+    for i in (n - 1, n):
+        angle = _CONSTANT_ANGLES[n - i].rational
+        count = math.comb(n - p, i - p)
+        alternating.const += 4 * (-1) ** (i - p + 1) * count * angle.numerator // angle.denominator
     return alternating, defect
 
 

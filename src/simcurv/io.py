@@ -56,6 +56,14 @@ def _integer(entry: Any, what: str) -> int:
     return entry
 
 
+def _list(entry: Any, what: str) -> list:
+    # iterating a number or taking its len() would raise TypeError, which is
+    # no input error
+    if not isinstance(entry, list):
+        raise FileFormatError(f"{what} must be a list, got {entry!r}")
+    return entry
+
+
 def _vertex_ids(entry: Any, what: str) -> Simplex:
     if not isinstance(entry, list) or not all(_is_integer(v) for v in entry):
         raise FileFormatError(f"{what} {entry!r} must be a list of integer vertex ids")
@@ -63,7 +71,7 @@ def _vertex_ids(entry: Any, what: str) -> Simplex:
 
 
 def _finite_row(i: int, row: Any) -> np.ndarray:
-    point = np.array([parse_number(x) for x in row])
+    point = np.array([parse_number(x) for x in _list(row, f"vertex {i}")])
     if not np.isfinite(point).all():
         raise FileFormatError(f"vertex {i} has a non-finite coordinate: {list(row)!r}")
     return point
@@ -93,13 +101,13 @@ def complex_from_dict(payload: dict) -> EmbeddedComplex:
     if version != FORMAT_VERSION:
         raise FileFormatError(f"unsupported format version {version}")
     coords = {}
-    for i, row in enumerate(vertices):
-        if len(row) != ambient:
+    for i, row in enumerate(_list(vertices, "vertices")):
+        if len(_list(row, f"vertex {i}")) != ambient:
             raise FileFormatError(
                 f"vertex {i} has {len(row)} coordinates, expected {ambient}"
             )
         coords[i] = _finite_row(i, row)
-    for m in maximal:
+    for m in _list(maximal, "maximal_simplices"):
         for v in _vertex_ids(m, "maximal simplex"):
             if not 0 <= v < len(vertices):
                 raise FileFormatError(f"simplex {m} references unknown vertex {v}")
@@ -109,7 +117,7 @@ def complex_from_dict(payload: dict) -> EmbeddedComplex:
 
 def overrides_from_payload(payload: Any) -> dict[Simplex, int]:
     overrides = {}
-    for entry in payload:
+    for entry in _list(payload, "rank overrides"):
         try:
             simplex = _vertex_ids(entry["simplex"], "override simplex")
             overrides[simplex] = _integer(entry["r"], "override rank r")
@@ -133,7 +141,7 @@ def dump_complex(embedded: EmbeddedComplex, stream: IO[str]) -> None:
 def load_points(stream: IO[str]) -> np.ndarray:
     payload = json.load(stream)
     rows = payload["points"] if isinstance(payload, dict) else payload
-    return np.array([_finite_row(i, row) for i, row in enumerate(rows)])
+    return np.array([_finite_row(i, row) for i, row in enumerate(_list(rows, "points"))])
 
 
 def carrier_to_list(pair: SubdivisionPair) -> list[dict]:
@@ -145,7 +153,7 @@ def carrier_to_list(pair: SubdivisionPair) -> list[dict]:
 
 def carrier_from_payload(payload: Any) -> dict[Simplex, Simplex]:
     carrier = {}
-    for entry in payload:
+    for entry in _list(payload, "carrier sidecar"):
         try:
             simplex = _vertex_ids(entry["simplex"], "carrier entry simplex")
             zeta = _vertex_ids(entry["carrier"], "carrier")
@@ -157,16 +165,26 @@ def carrier_from_payload(payload: Any) -> dict[Simplex, Simplex]:
     return carrier
 
 
-def json_ready(value: Any) -> Any:
-    """Recursively convert report values into JSON-serializable types."""
+def json_default(value: Any) -> Any:
+    """The JSON value of a report scalar that ``json`` cannot write itself:
+    an exact rational as a "p/q" string, a numpy scalar as a Python number.
+    ``json.dumps(report, default=json_default)`` writes what
+    ``json.dumps(json_ready(report))`` writes, without the copy."""
     if isinstance(value, Fraction):
         return format_fraction(value)
-    if isinstance(value, dict):
-        return {k: json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.integer):
         return int(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_ready(value: Any) -> Any:
+    """Recursively convert report values into JSON-serializable types."""
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    if isinstance(value, (Fraction, np.floating, np.integer)):
+        return json_default(value)
     return value

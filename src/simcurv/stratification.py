@@ -21,9 +21,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
+
+
+@lru_cache(maxsize=256)
+def _rank(r: int) -> Fraction:
+    """The rank r/2, one shared ``Fraction`` per r: ``stratify`` builds one
+    ``StratumInfo`` per simplex, and ranks take only a few values."""
+    return Fraction(r, 2)
 
 
 @dataclass(frozen=True)
@@ -33,7 +41,7 @@ class StratumInfo:
     tier: str
 
     def __post_init__(self):
-        if self.rank != Fraction(self.r, 2):
+        if self.rank is not _rank(self.r) and self.rank != Fraction(self.r, 2):
             raise ValueError("rank must equal r/2")
 
 
@@ -179,15 +187,15 @@ def stratify(
     for simplex in complex.simplices():
         if simplex in override_map:
             r = override_map[simplex]
-            info[simplex] = StratumInfo(r, Fraction(r, 2), "override")
+            info[simplex] = StratumInfo(r, _rank(r), "override")
             continue
         p = len(simplex) - 1
         if p == n:
-            info[simplex] = StratumInfo(2, Fraction(1), "exact")
+            info[simplex] = StratumInfo(2, _rank(2), "exact")
             continue
         if p == n - 1:
             r = len(complex.top_cofaces(simplex))
-            info[simplex] = StratumInfo(r, Fraction(r, 2), "exact")
+            info[simplex] = StratumInfo(r, _rank(r), "exact")
             continue
         info[simplex] = _classify_low_simplex(complex, simplex, warnings)
 
@@ -207,17 +215,17 @@ def _classify_low_simplex(
     candidates = set(ridge_counts) - {2}
     if not candidates:
         # only manifold-like ridge counts around: forced into the catch-all
-        return StratumInfo(2, Fraction(1), "exact")
+        return StratumInfo(2, _rank(2), "exact")
     if len(candidates) > 1:
         # two distinct non-manifold counts exclude every single local model
-        return StratumInfo(2, Fraction(1), "exact")
+        return StratumInfo(2, _rank(2), "exact")
     r0 = candidates.pop()
 
     link = complex.link(simplex)
     if p == n - 2:
         recognized = _recognize_point_suspension(link)
         if recognized == r0:
-            return StratumInfo(r0, Fraction(r0, 2), "exact")
+            return StratumInfo(r0, _rank(r0), "exact")
         return _fallback(simplex, r0, warnings)
 
     # p < n - 2: necessary conditions only
@@ -231,7 +239,7 @@ def _classify_low_simplex(
         )
         if count not in (2, r0):
             return _fallback(simplex, r0, warnings)
-    return StratumInfo(r0, Fraction(r0, 2), "heuristic")
+    return StratumInfo(r0, _rank(r0), "heuristic")
 
 
 def _fallback(simplex: Simplex, r0: int, warnings: list[str]) -> StratumInfo:
@@ -239,14 +247,15 @@ def _fallback(simplex: Simplex, r0: int, warnings: list[str]) -> StratumInfo:
         f"simplex {simplex}: candidate stratum {r0} rejected by link tests; "
         f"assigned the catch-all stratum 2"
     )
-    return StratumInfo(2, Fraction(1), "fallback")
+    return StratumInfo(2, _rank(2), "fallback")
 
 
 def stratified_euler_characteristic(
     complex: SimplicialComplex, assignment: StratumAssignment
 ) -> Fraction:
-    """Rank-weighted alternating simplex count, an exact rational."""
-    total = Fraction(0)
+    """Rank-weighted alternating simplex count, an exact rational: the
+    alternating sum of the indices r, halved."""
+    total = 0
     for simplex in complex.simplices():
-        total += assignment.rank(simplex) * (-1) ** (len(simplex) - 1)
-    return total
+        total += assignment.r(simplex) * (-1) ** (len(simplex) - 1)
+    return Fraction(total, 2)

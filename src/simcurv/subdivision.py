@@ -128,7 +128,7 @@ def locate_point(embedded: EmbeddedComplex, point: np.ndarray) -> Simplex | None
 
 def compute_carriers(base: EmbeddedComplex, refined: EmbeddedComplex) -> dict[Simplex, Simplex]:
     order = refined.complex.simplices()
-    found = locate_points(base, np.array([refined.barycenter(tau) for tau in order]))
+    found = locate_points(base, refined.barycenters(order))
     for tau, carrier in zip(order, found):
         if carrier is None:
             raise GeometryError(
@@ -186,7 +186,7 @@ def barycentric_subdivide(embedded: EmbeddedComplex) -> SubdivisionPair:
     complex = embedded.complex
     order = complex.simplices()
     vertex_of = {simplex: i for i, simplex in enumerate(order)}
-    coords = {i: embedded.barycenter(simplex) for i, simplex in enumerate(order)}
+    coords = dict(enumerate(embedded.barycenters(order)))
     maximal = []
     for gamma in complex.maximal:
         for perm in permutations(gamma):

@@ -600,3 +600,50 @@ def test_missing_input_exits_2_naming_no_such_file(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err == f"error: {missing}: no such file\n"
+
+
+_TRIANGLE = {
+    "version": 1,
+    "ambient_dim": 2,
+    "vertices": [[0, 0], [1, 0], [0, 1]],
+    "maximal_simplices": [[0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("info", {**_TRIANGLE, "vertices": 5}, "vertices must be a list, got 5"),
+        ("info", {**_TRIANGLE, "vertices": [3]}, "vertex 0 must be a list, got 3"),
+        ("info", {**_TRIANGLE, "maximal_simplices": 7}, "maximal_simplices must be a list, got 7"),
+        ("strata", {**_TRIANGLE, "rank_overrides": 5}, "rank overrides must be a list, got 5"),
+        ("hull", {"points": 5}, "points must be a list, got 5"),
+        ("hull", {"points": [[0, 0], [1, 0], 5]}, "vertex 2 must be a list, got 5"),
+    ],
+    ids=["vertices", "vertex_row", "maximal_simplices", "rank_overrides", "points", "point_row"],
+)
+def test_malformed_shape_exits_2_with_one_error_line(capsys, tmp_path, command, payload, message):
+    # each used to end in a TypeError traceback and exit 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("sidecar", ["overrides", "carrier"])
+def test_sidecar_that_is_not_a_list_exits_2(capsys, tmp_path, sidecar):
+    base_path, refined_path, _, _ = _barycentric_sidecar(capsys, tmp_path)
+    bad = tmp_path / "sidecar.json"
+    bad.write_text("5")
+    if sidecar == "overrides":
+        code, out, err = run_cli(capsys, "strata", str(base_path), "--overrides", str(bad))
+        message = "rank overrides must be a list, got 5"
+    else:
+        code, out, err = _verify_subdivision(capsys, base_path, refined_path, bad)
+        message = "carrier sidecar must be a list, got 5"
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: {message}\n"
+

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import simcurv.curvature as curvature_module
+from simcurv.complexes import SimplicialComplex
 from simcurv.curvature import (
     HypothesisError,
     _ascending_form,
@@ -24,12 +26,13 @@ from simcurv.curvature import (
     vanishing_check,
     vanishing_hypothesis_check,
 )
-from simcurv.generators import boundary_of_simplex, solid_simplex
+from simcurv.generators import boundary_of_simplex, random_simplex, solid_simplex
 from simcurv.geometry import (
     AngleCache,
     AngleConfig,
     EmbeddedComplex,
     _AngleForm,
+    _sommerville_forms,
     sommerville_residuals,
 )
 from simcurv.sequences import angle_defect_term
@@ -337,6 +340,20 @@ def _fractions(form):
     return Fraction(form.const, form.den), [(pair, Fraction(c, form.den)) for pair, c in form.coeffs.items()]
 
 
+def _folded_fractions(form):
+    """``_fractions`` of a form, with its codimension 0 and 1 terms moved into
+    the constant at their angles 1 and 1/2."""
+    const, coeffs = _fractions(form)
+    kept = []
+    for (eta, sigma), c in coeffs:
+        codim = len(sigma) - len(eta)
+        if codim <= 1:
+            const += c * Fraction(1, 2**codim)
+        else:
+            kept.append(((eta, sigma), c))
+    return const, kept
+
+
 @pytest.mark.parametrize(
     "weights", [angle_defect_term, lambda n: Fraction(1)], ids=["a_n", "constant_one"]
 )
@@ -360,7 +377,7 @@ def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, wei
         ]
         for form, reference in pairs:
             const, coeffs = _fractions(form)
-            reference_const, reference_coeffs = _fractions(reference)
+            reference_const, reference_coeffs = _folded_fractions(reference)
             assert const == reference_const
             assert coeffs == reference_coeffs  # order too
 
@@ -486,6 +503,130 @@ def test_add_matches_fraction_arithmetic():
                 coeffs[pair] = new
         assert _fractions(form) == (const, list(coeffs.items()))
     assert [pair for pair, _ in _fractions(form)[1]] == [pairs[3], pairs[1], pairs[4], pairs[0], pairs[2], pairs[5]]
+
+
+# -- constant angles folded into form constants ---------------------------------
+
+
+def _non_pure():
+    """A tetrahedron, a triangle on one of its edges and a dangling edge."""
+    complex = SimplicialComplex([(0, 1, 2, 3), (2, 3, 4), (4, 5)])
+    coords = {
+        0: (0.0, 0.0, 0.0),
+        1: (1.0, 0.0, 0.0),
+        2: (0.0, 1.0, 0.0),
+        3: (0.0, 0.0, 1.0),
+        4: (-1.0, 1.5, 0.5),
+        5: (-2.0, 1.0, 2.0),
+    }
+    return EmbeddedComplex(complex, coords)
+
+
+def _folding_cases(sphere3, book, join_sphere3):
+    """(embedded, assignment) pairs, the last two with rank overrides on a top
+    simplex and on a codimension-1 simplex."""
+    sd2 = barycentric_subdivide(barycentric_subdivide(boundary_of_simplex(3)).refined).refined
+    cases = [(e, stratify(e.complex)) for e in (sd2, book, join_sphere3, sphere3, _non_pure())]
+    cases.append((book, stratify(book.complex, {(0, 1, 2, 3): 3, (0, 1, 2): 5})))
+    top, ridge = sd2.complex.simplices(2)[0], sd2.complex.simplices(1)[0]
+    cases.append((sd2, stratify(sd2.complex, {top: 1, ridge: 4})))
+    return cases
+
+
+def _low_codimension_pairs(form):
+    return [(eta, sigma) for eta, sigma in form.coeffs if len(sigma) - len(eta) <= 1]
+
+
+def _even_faces(sigma):
+    n = len(sigma) - 1
+    return [tau for p in range(0, n - 1, 2) for tau in combinations(sigma, p + 1)]
+
+
+def test_forms_hold_no_pair_of_codimension_at_most_one(monkeypatch, sphere3, book, join_sphere3):
+    calls = _recorded_evaluations(monkeypatch)
+    cfg = AngleConfig(samples=1000, seed=3)
+    forms = []
+    for embedded, assignment in _folding_cases(sphere3, book, join_sphere3):
+        complex = embedded.complex
+        for s in complex.simplices():
+            forms += [_defect_form(s, complex, assignment), _ascending_form(s, complex, assignment)]
+        forms += [_stratified_form(v, complex, assignment) for v in complex.simplices(0)]
+        gauss_bonnet_check(embedded, assignment, cfg=cfg)
+    totals = [recorded["total"] for _, recorded, _ in calls]
+    assert len(totals) == 7
+    for dim, seed in ((3, 21), (5, 22)):
+        sigma = random_simplex(dim, seed=seed).complex.simplices(dim)[0]
+        for tau in _even_faces(sigma):
+            forms += _sommerville_forms(sigma, tau)
+    assert all(_low_codimension_pairs(form) == [] for form in forms + totals)
+    # what is left still has pairs: the test is not passing on empty forms
+    assert all(total.coeffs for total in totals[:4])
+
+
+def _unfolded_sommerville_forms(sigma, tau):
+    """Reference: Sommerville's two forms with every angle as a coefficient,
+    sigma itself and its facets included."""
+    n, p = len(sigma) - 1, len(tau) - 1
+    extra = [v for v in sigma if v not in tau]
+    alternating = _AngleForm(coeffs={(tau, sigma): -8}, den=4)
+    defect = _AngleForm(const=n - p - 2, coeffs={(tau, sigma): 4}, den=4)
+    for i in range(p + 1, n + 1):
+        for rest in combinations(extra, i - p):
+            eta = tuple(sorted(tau + rest))
+            alternating.coeffs[(eta, sigma)] = 4 * (-1) ** (i - p + 1)
+            if i <= n - 2:
+                defect.coeffs[(eta, sigma)] = 2 * (-1) ** i
+    return alternating, defect
+
+
+def _hex(cv):
+    return cv.value.hex(), cv.std_error.hex(), cv.exact
+
+
+def test_folded_forms_evaluate_like_unfolded_ones_bit_for_bit(sphere3, book, join_sphere3):
+    cfg = AngleConfig(samples=2000, seed=8)
+    monte_carlo = 0
+    for embedded, assignment in _folding_cases(sphere3, book, join_sphere3):
+        complex = embedded.complex
+        simplices = complex.simplices()
+        ascending = [
+            (_ascending_form(s, complex, assignment), _merged_ascending_form(s, complex, assignment, angle_defect_term))
+            for s in simplices
+        ]
+        pairs = ascending + [
+            (_stratified_form(v, complex, assignment), _merged_stratified_form(v, complex, assignment))
+            for v in complex.simplices(0)
+        ]
+        pairs += [
+            (_defect_form(s, complex, assignment), _reference_defect_form(s, complex, assignment))
+            for s in simplices
+        ]
+        reference_total = _AngleForm()
+        for s, (_, reference) in zip(simplices, ascending):
+            reference_total.add(reference, (-1) ** (len(s) - 1))
+        cache = AngleCache(embedded, cfg)
+        cache.fill({pair for _, reference in pairs for pair in reference.coeffs})
+        for form, reference in pairs:
+            assert _hex(form.evaluate(cache)) == _hex(reference.evaluate(cache))
+        summary = gauss_bonnet_check(embedded, assignment, cache=cache).summary
+        lhs = (summary["lhs"].hex(), summary["lhs_std_error"].hex(), summary["exact"])
+        assert lhs == _hex(reference_total.evaluate(cache))
+        monte_carlo += sum(angle.method == "monte_carlo" for angle in cache._values.values())
+    assert monte_carlo
+    for dim, seed in ((3, 21), (5, 22)):
+        embedded = random_simplex(dim, seed=seed)
+        sigma = embedded.complex.simplices(dim)[0]
+        cache = AngleCache(embedded, AngleConfig(samples=2000, seed=seed))
+        for tau in _even_faces(sigma):
+            report = sommerville_residuals(sigma, tau, embedded, cache=cache)
+            alternating, defect = _unfolded_sommerville_forms(sigma, tau)
+            cache.fill(alternating.coeffs.keys() | defect.coeffs.keys())
+            for name, form in (("alternating", alternating), ("defect", defect)):
+                value = form.evaluate(cache)
+                assert report[f"{name}_residual"].hex() == value.value.hex()
+                assert report[f"{name}_std_error"].hex() == value.std_error.hex()
+                assert report[f"{name}_std_error"] > 0  # Monte Carlo angles took part
+            assert report["defect_rhs"] == Fraction(-defect.const, defect.den)
 
 
 @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])

@@ -2,6 +2,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from simcurv import io as cio
@@ -52,6 +53,24 @@ def test_fraction_formatting_roundtrip():
 def test_json_ready_handles_nested_fractions():
     doc = cio.json_ready({"a": Fraction(3, 2), "b": [Fraction(1), {"c": Fraction(0)}]})
     assert json.loads(json.dumps(doc)) == {"a": "3/2", "b": ["1", {"c": "0"}]}
+
+
+def test_json_default_writes_what_json_ready_writes():
+    report = {
+        "rank": Fraction(3, 2),
+        "whole": Fraction(4),
+        "value": np.float64(0.1),
+        "single": np.float32(1 / 3),
+        "count": np.int64(7),
+        "simplex": (0, 1, 2),
+        "rows": [[Fraction(-1, 60), np.float64(-2.5e-17), (np.int64(3), "x")], {"nested": [None, True]}],
+        "plain": [1.5, 2, "s"],
+    }
+    text = json.dumps(report, indent=2, default=cio.json_default)
+    assert text == json.dumps(cio.json_ready(report), indent=2)
+    assert '"rank": "3/2"' in text and '"count": 7' in text
+    with pytest.raises(TypeError, match="complex is not JSON serializable"):
+        json.dumps({"z": 1j}, default=cio.json_default)
 
 
 def test_override_payload_validation():

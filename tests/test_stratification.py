@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simcurv import stratification
 from simcurv.complexes import SimplicialComplex
 from simcurv.stratification import (
+    StratumInfo,
     stratified_euler_characteristic,
     stratify,
     suspension_euler_characteristic,
@@ -127,3 +129,41 @@ def test_chi_s_invariant_under_barycentric_subdivision(sphere2, book):
             refined.complex, stratify(refined.complex)
         )
         assert before == after
+
+
+def _strata(assignment):
+    return {s: (info.r, info.rank, info.tier) for s, info in assignment.info.items()}
+
+
+def test_shared_ranks_match_fresh_fractions(monkeypatch, sphere3, book):
+    cases = [
+        (sphere3.complex, None),
+        (book.complex, None),  # exact and heuristic tiers
+        (barycentric_subdivide(book).refined.complex, None),
+        (SimplicialComplex([(0, 1, 2), (0, 3, 4)]), None),  # a fallback
+        (SimplicialComplex([(0, 1, 2), (0, 1, 3), (4, 5, 6, 7)]), None),  # r = 0
+        (book.complex, {(0, 3): 5, (0, 1, 2, 3): 7, (0, 1, 2): 0}),
+    ]
+    shared = [stratify(complex, overrides) for complex, overrides in cases]
+    for assignment in shared:
+        by_r = {}
+        for info in assignment.info.values():
+            assert by_r.setdefault(info.r, info.rank) is info.rank  # one Fraction per r
+    monkeypatch.setattr(stratification, "_rank", lambda r: Fraction(r, 2))
+    for (complex, overrides), assignment in zip(cases, shared):
+        fresh = stratify(complex, overrides)
+        assert _strata(assignment) == _strata(fresh)
+        assert assignment.warnings == fresh.warnings
+        reference = sum(
+            (fresh.rank(s) * (-1) ** (len(s) - 1) for s in complex.simplices()), Fraction(0)
+        )
+        assert stratified_euler_characteristic(complex, assignment) == reference
+
+
+def test_stratum_info_checks_its_rank():
+    with pytest.raises(ValueError, match="rank must equal r/2"):
+        StratumInfo(3, Fraction(1), "exact")
+    with pytest.raises(ValueError, match="rank must equal r/2"):
+        StratumInfo(2, Fraction(3, 2), "exact")
+    assert StratumInfo(3, Fraction(3, 2), "exact").rank == Fraction(3, 2)  # a fresh, equal rank
+    assert StratumInfo(1000, Fraction(500), "override").r == 1000
