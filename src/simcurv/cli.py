@@ -32,7 +32,7 @@ from simcurv.geometry import (
     convex_hull_boundary,
     top_angle_pairs,
 )
-from simcurv.io import FileFormatError, format_fraction
+from simcurv.io import format_fraction
 from simcurv.stratification import stratified_euler_characteristic, stratify
 from simcurv.subdivision import (
     SubdivisionPair,
@@ -74,11 +74,7 @@ def _read_complex(path: str):
 
 def _read_sidecar(path: str, parse):
     """``parse`` applied to the JSON in the sidecar file ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            return parse(json.load(stream))
-    except (OSError, json.JSONDecodeError, FileFormatError) as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+    return _load_input(path, lambda stream: parse(json.load(stream)))
 
 
 def _read_stratified(path: str):

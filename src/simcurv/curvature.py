@@ -13,9 +13,11 @@ remain in the combination.  Each form builder picks an even denominator
 (4 times the weight's denominator for ascending forms, 2 lcm(1, ..., n - 1)
 for stratified ones), so every rank r/2 times a scale is an integer.
 
-The angles of codimension 0 and 1 are the constants 1 and 1/2, so the
-defects of simplices of codimension <= 1 go whole into the form's constant:
-forms hold only pairs of codimension >= 2, which the fill computes and the
+Ranks enter as integers, ``scale // 2 * r``, from the stratum index r
+alone.  The angles of codimension 0 and 1 are the constants 1 and 1/2, and
+``_AngleForm.add_angles`` folds them into the form's constant, so the
+defects of simplices of codimension <= 1 go whole into the constant: forms
+hold only pairs of codimension >= 2, which the fill computes and the
 evaluation sums.  The constant is the same exact rational, and the float
 terms keep their order, so every value is the one the unfolded form gives.
 
@@ -40,7 +42,6 @@ from simcurv.geometry import (
     CurvatureValue,
     EmbeddedComplex,
     _AngleForm,
-    _CONSTANT_ANGLES,
     _require_cache,
     _sommerville_forms,
 )
@@ -69,28 +70,18 @@ def _add_defects(
     complex: SimplicialComplex,
     assignment: StratumAssignment,
 ) -> None:
-    """Add ``scale / form.den`` times the angle defect of eta (rank(eta) minus
-    the angles of its top cofaces) to ``form``.
+    """Add ``scale / form.den`` times the angle defect of eta (rank(eta) = r/2
+    minus the angles of its top cofaces) to ``form``.
 
-    ``scale`` is an even integer numerator, so ``scale`` times a rank r/2 or
-    a constant angle 1/2 is an integer too.  When eta has codimension 0 or 1
-    its angles are the constants of ``_CONSTANT_ANGLES``, and the whole
-    defect goes into ``form.const``: forms hold no pair of codimension <= 1.
-    Otherwise none of eta's pairs may be in the form yet: each coefficient
-    is written, not merged through ``_AngleForm.add``, in the order ``add``
-    would insert it, so evaluation sums the same floats in the same order.
+    ``scale`` is an even integer numerator, so ``scale`` times r/2 is an
+    integer, and ``_AngleForm.add_angles`` can take the constant angles 1
+    and 1/2 of codimension 0 and 1 into ``form.const``.  Otherwise none of
+    eta's pairs may be in the form yet: each coefficient is written in the
+    order ``_AngleForm.add`` would insert it, so evaluation sums the same
+    floats in the same order.
     """
-    rank = assignment.rank(eta)
-    form.const += scale * rank.numerator // rank.denominator
-    tops = complex.top_cofaces(eta)
-    codim = complex.dim + 1 - len(eta)
-    if codim <= 1:
-        angle = _CONSTANT_ANGLES[codim].rational
-        form.const -= scale * len(tops) * angle.numerator // angle.denominator
-        return
-    coeffs = form.coeffs
-    for sigma in tops:
-        coeffs[(eta, sigma)] = -scale
+    form.const += scale // 2 * assignment.r(eta)
+    form.add_angles(eta, complex.top_cofaces(eta), -scale)
 
 
 def _defect_form(

@@ -23,20 +23,14 @@ Closed forms are computed in stacks.  ``AngleCache.fill`` groups the pairs
 it is given by codimension and face size; each group gets its barycenters,
 face bases and cone bases from one stacked SVD and matmul, with the same
 checks and the same bits as one pair at a time, and ``solid_angle`` runs a
-stack of one.  Only Monte Carlo pairs go to the thread pool.  Together
-with direct form assembly in ``simcurv.curvature`` and the chunked carrier
-solves of ``simcurv.subdivision``, this took the median ``exact_refine``
-benchmark pass from 1.08 s to 0.61 s (ten before/after pairs on a 2-vCPU
-VM).
+stack of one.  Only Monte Carlo pairs go to the thread pool.
 
 The thread pool is process-wide: one ``ThreadPoolExecutor`` per worker
 count, started on first use and kept, so a fill of a few Monte Carlo pairs
 pays no thread start-up.  A fork hook forgets the pools in the child, which
 has none of its parent's threads.  Every caller fills before it evaluates,
 ``sommerville_residuals`` included: it fills the pairs of both its forms in
-one batch.  With the kept pool, this took the median ``mc_sommerville``
-pass, which calls it once per (sigma, tau) pair, from 0.63 s to 0.48 s
-(ten before/after pairs on a 2-vCPU VM).
+one batch.
 
 Monte Carlo streams are counter-based: each (seed, face index, top index,
 block index) tuple keys an independent SFC64 stream through a
@@ -47,15 +41,14 @@ numpy kernel in ``simcurv._kernels``.
 Linear combinations of angles are held as ``_AngleForm``s: an integer
 constant and integer coefficients on (face, top-simplex) pairs, all over one
 common denominator, evaluated against an ``AngleCache`` filled with their
-pairs.  Rational angles are summed exactly as integer numerators; each float
-angle is weighted by ``c / den``, which Python rounds correctly, so a form
-gives the same floats, summed in the same order, as ``Fraction`` weights of
-the same values.  The forms that the package builds hold no pair of
-codimension 0 or 1: those angles are the constants of ``_CONSTANT_ANGLES``,
-folded into the form's constant, so a fill computes no cone generators for
-them.  Sommerville's identity is built from two such forms here; the
-curvatures and theorem checks in ``simcurv.curvature`` build theirs from the
-same class.
+pairs.  Each angle is weighted by ``c / den``, which Python rounds
+correctly, so a form gives the same floats, summed in the same order, as
+``Fraction`` weights of the same values.  Forms hold no pair of codimension
+0 or 1: ``_AngleForm.add_angles``, the one place that writes this fold, adds
+those angles, the constants 1 and 1/2, to the form's integer constant, so a
+fill computes no cone generators for them.  Sommerville's identity is built
+from two such forms here; the curvatures and theorem checks in
+``simcurv.curvature`` build theirs from the same class.
 """
 
 from __future__ import annotations
@@ -88,15 +81,6 @@ class DegeneratePositionError(GeometryError):
 
 
 def default_thread_count() -> int:
-    env = os.environ.get("ASC_CURV_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise ValueError(f"ASC_CURV_THREADS must be a positive integer, got {env!r}")
-        return threads
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
@@ -129,15 +113,15 @@ class AngleConfig:
 class AngleValue:
     """A normalized angle in [0, 1] with its provenance.
 
-    ``rational`` is set when the value is exactly a known fraction
-    (codimension 0 and 1); dihedral angles are exact-method but float-valued.
+    Exact angles (method ``exact``, no standard error) are the constants 1
+    and 1/2 at codimension 0 and 1 and the wedge angles at codimension 2;
+    forms never hold the constants, which they fold into their constant.
     """
 
     value: float
     std_error: float
     method: str  # "exact" | "monte_carlo"
     samples: int = 0
-    rational: Fraction | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -311,15 +295,6 @@ def projected_cone_generators(
     return _cone_generators([(as_simplex(eta), as_simplex(sigma))], embedded)[0]
 
 
-# The angles that are constants, keyed by codimension: a simplex along itself
-# (1) and along a facet (1/2).  Forms never hold such a pair: they fold its
-# angle into their constant.
-_CONSTANT_ANGLES = {
-    0: AngleValue(1.0, 0.0, "exact", rational=Fraction(1)),
-    1: AngleValue(0.5, 0.0, "exact", rational=Fraction(1, 2)),
-}
-
-
 def _wedge_angles(generators: np.ndarray) -> list[AngleValue]:
     values = []
     for (u0, u1), (v0, v1) in generators.tolist():
@@ -331,10 +306,11 @@ def _wedge_angles(generators: np.ndarray) -> list[AngleValue]:
 
 
 # The closed forms, keyed by codimension: each maps a (k, c, c) stack of cone
-# generators to k angles.  Every other codimension is estimated by Monte Carlo.
+# generators to k angles.  A simplex along itself has the angle 1 and along a
+# facet 1/2.  Every other codimension is estimated by Monte Carlo.
 _CLOSED_FORMS = {
-    0: lambda generators: [_CONSTANT_ANGLES[0]] * len(generators),
-    1: lambda generators: [_CONSTANT_ANGLES[1]] * len(generators),
+    0: lambda generators: [AngleValue(1.0, 0.0, "exact")] * len(generators),
+    1: lambda generators: [AngleValue(0.5, 0.0, "exact")] * len(generators),
     2: _wedge_angles,
 }
 
@@ -504,15 +480,32 @@ class _AngleForm:
             else:
                 coeffs[pair] = new
 
+    def add_angles(self, eta: Simplex, tops: Sequence[Simplex], c: int) -> None:
+        """Add ``c / den`` times the angle of each simplex of ``tops`` along
+        their common face ``eta``; the tops share one dimension.
+
+        At codimension 0 or 1 the angles are the constants 1 and 1/2, and
+        ``c`` is even, so they go whole into ``const``.  Otherwise the pairs
+        are written in the order of ``tops``, not merged as ``add`` merges:
+        none of them may be in the form yet.
+        """
+        if not tops:
+            return
+        codim = len(tops[0]) - len(eta)
+        if codim <= 1:
+            self.const += c * len(tops) >> codim
+            return
+        coeffs = self.coeffs
+        for sigma in tops:
+            coeffs[(eta, sigma)] = c
+
     def evaluate(self, cache: AngleCache) -> CurvatureValue:
         """The form's value against a cache already filled with its pairs.
 
-        Rational angles are summed exactly, as integer numerators per angle
-        denominator; each float angle gets the weight c / den.  Integer true
-        division is correctly rounded, so every float is the one a
-        ``Fraction`` of the same value converts to.
+        The value is const / den plus each angle times the weight c / den.
+        Integer true division is correctly rounded, so every float is the one
+        a ``Fraction`` of the same value converts to.
         """
-        rational: dict[int, int] = {}  # angle denominator -> numerator
         float_part = 0.0
         variance = 0.0
         exact = True
@@ -520,19 +513,13 @@ class _AngleForm:
         values = cache._values  # form keys are canonical, like the cache's
         for pair, c in self.coeffs.items():
             angle = values[pair]
-            r = angle.rational
-            if r is not None:
-                rational[r.denominator] = rational.get(r.denominator, 0) + c * r.numerator
-                continue
             weight = c / den
             float_part += weight * angle.value
             variance += (weight * angle.std_error) ** 2
             if angle.method != "exact":
                 exact = False
-        lcm = math.lcm(*rational)
-        numerator = self.const * lcm + sum(n * (lcm // d) for d, n in rational.items())
         return CurvatureValue(
-            numerator / (den * lcm) + float_part, math.sqrt(variance), exact and variance == 0.0
+            self.const / den + float_part, math.sqrt(variance), exact and variance == 0.0
         )
 
 
@@ -561,21 +548,17 @@ def _sommerville_forms(sigma: Simplex, tau: Simplex) -> tuple[_AngleForm, _Angle
     if not set(tau) <= set(sigma):
         raise GeometryError(f"{tau} is not a face of {sigma}")
     extra = [v for v in sigma if v not in tau]
+    tops = (sigma,)
     # both forms over the denominator 4
     alternating = _AngleForm(coeffs={(tau, sigma): -8}, den=4)
     defect = _AngleForm(const=n - p - 2, coeffs={(tau, sigma): 4}, den=4)
-    for i in range(p + 1, n - 1):
-        sign = (-1) ** (i - p + 1)
+    for i in range(p + 1, n + 1):
+        alternating_c, defect_c = 4 * (-1) ** (i - p + 1), 2 * (-1) ** i
         for rest in combinations(extra, i - p):
-            eta = as_simplex(tau + rest)
-            alternating.coeffs[(eta, sigma)] = 4 * sign
-            defect.coeffs[(eta, sigma)] = 2 * (-1) ** i
-    # the n - p facets of sigma over tau (i = n - 1) and sigma itself (i = n)
-    # have constant angles, folded into the constant
-    for i in (n - 1, n):
-        angle = _CONSTANT_ANGLES[n - i].rational
-        count = math.comb(n - p, i - p)
-        alternating.const += 4 * (-1) ** (i - p + 1) * count * angle.numerator // angle.denominator
+            eta = tuple(sorted(tau + rest))  # canonical: tau and rest come from sigma
+            alternating.add_angles(eta, tops, alternating_c)
+            if i <= n - 2:
+                defect.add_angles(eta, tops, defect_c)
     return alternating, defect
 
 
@@ -638,6 +621,8 @@ def convex_hull_boundary(points: Sequence[Sequence[float]]) -> EmbeddedComplex:
     if pts.ndim != 2:
         raise GeometryError("points must be a 2-D array-like")
     m, d = pts.shape
+    if d < 2:
+        raise GeometryError(f"points must lie in R^d with d >= 2, got d = {d}")
     if m < d + 1:
         raise GeometryError(f"need at least {d + 1} points in R^{d}")
     spread = float(np.ptp(pts, axis=0).max())

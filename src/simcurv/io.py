@@ -140,8 +140,16 @@ def dump_complex(embedded: EmbeddedComplex, stream: IO[str]) -> None:
 
 def load_points(stream: IO[str]) -> np.ndarray:
     payload = json.load(stream)
+    if isinstance(payload, dict) and "points" not in payload:
+        raise FileFormatError("missing point set field: 'points'")
     rows = payload["points"] if isinstance(payload, dict) else payload
-    return np.array([_finite_row(i, row) for i, row in enumerate(_list(rows, "points"))])
+    points = [_finite_row(i, row) for i, row in enumerate(_list(rows, "points"))]
+    for i, point in enumerate(points):
+        if len(point) != len(points[0]):
+            raise FileFormatError(
+                f"vertex {i} has {len(point)} coordinates, expected {len(points[0])}"
+            )
+    return np.array(points)
 
 
 def carrier_to_list(pair: SubdivisionPair) -> list[dict]:

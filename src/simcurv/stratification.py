@@ -4,7 +4,9 @@ Full homeomorphism recognition of links is undecidable, so classification is
 tiered and every answer carries its tier:
 
 * ``exact``      - combinatorially forced (top dimensions, coface-count
-                   exclusions, one-dimensional link recognition);
+                   exclusions, and for codimension-two simplices a
+                   one-dimensional link that is the suspension of the
+                   candidate's r points);
 * ``heuristic``  - Euler characteristic plus local coface conditions match
                    an iterated suspension of r points, which is necessary
                    but not sufficient;
@@ -12,37 +14,28 @@ tiered and every answer carries its tier:
                    assigned and a warning is recorded;
 * ``override``   - supplied by the caller.
 
-The rank of a simplex is r/2; top simplices always get rank 1 and
-codimension-one simplices half their top-coface count.
+Each simplex stores only r and its tier; its rank r/2 is derived from r, so
+top simplices always get rank 1 and codimension-one simplices half their
+top-coface count.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
 
 
-@lru_cache(maxsize=256)
-def _rank(r: int) -> Fraction:
-    """The rank r/2, one shared ``Fraction`` per r: ``stratify`` builds one
-    ``StratumInfo`` per simplex, and ranks take only a few values."""
-    return Fraction(r, 2)
-
-
 @dataclass(frozen=True)
 class StratumInfo:
     r: int
-    rank: Fraction
     tier: str
 
-    def __post_init__(self):
-        if self.rank is not _rank(self.r) and self.rank != Fraction(self.r, 2):
-            raise ValueError("rank must equal r/2")
+    @property
+    def rank(self) -> Fraction:
+        return Fraction(self.r, 2)
 
 
 @dataclass
@@ -74,97 +67,35 @@ def suspension_euler_characteristic(points: int, iterations: int) -> int:
     return chi
 
 
-def _recognize_point_suspension(link: SimplicialComplex) -> int | None:
-    """If the link is (topologically) a suspension of r points, return r.
-
-    Recognizes, on at-most-1-dimensional links: two isolated vertices (r=0),
-    a single arc (r=1), a single circle (r=2), and two branch vertices joined
-    by r >= 3 internally disjoint arcs.
-    """
-    if link.dim > 1:
-        return None
-    if link.dim == -1:
-        return None
-    vertices = [s[0] for s in link.simplices(0)]
+def _is_point_suspension(link: SimplicialComplex, r0: int) -> bool:
+    """Whether the at most one-dimensional ``link`` is a suspension of r0
+    points: two points for r0 = 0; otherwise two vertices of degree r0
+    joined by r0 internally disjoint arcs of degree-2 vertices (one arc for
+    r0 = 1, a subdivided r0-theta for r0 >= 3), with no vertex left over.
+    r0 = 2 never matches: the candidate is a ridge count other than 2."""
+    vertices = link.simplices(0)
     edges = link.simplices(1)
-    degree = Counter()
-    for v in vertices:
-        degree[v] = 0
-    adjacency: dict[int, list[int]] = {v: [] for v in vertices}
+    if r0 == 0:
+        return len(vertices) == 2 and not edges
+    adjacency: dict[int, list[int]] = {v: [] for (v,) in vertices}
     for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
         adjacency[a].append(b)
         adjacency[b].append(a)
-
-    if not edges:
-        return 0 if len(vertices) == 2 else None
-
-    if any(d == 0 for d in degree.values()):
-        return None  # isolated vertex next to edges: not a suspension
-
-    branch = sorted(v for v, d in degree.items() if d != 2)
-    if not branch:
-        # all degree two: must be one single cycle
-        return 2 if _is_single_cycle(vertices, adjacency) else None
-    if len(branch) != 2:
-        return None
-    a, b = branch
-    if degree[a] != degree[b]:
-        return None
-    arcs = _trace_arcs(a, adjacency)
-    if arcs is None:
-        return None
-    endpoints, interior_used = arcs
-    if any(end != b for end in endpoints):
-        return None
-    if interior_used != {v for v in vertices if v not in (a, b)}:
-        return None  # leftover components
-    count = len(endpoints)
-    if degree[a] == 1 and count == 1:
-        return 1
-    if count == degree[a] and count >= 3:
-        return count
-    return None
-
-
-def _is_single_cycle(vertices, adjacency) -> bool:
-    start = vertices[0]
-    seen = {start}
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in adjacency[cur] if w != prev]
-        if len(adjacency[cur]) != 2 or not nxt:
-            return False
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        if cur in seen:
-            return False
-        seen.add(cur)
-    return len(seen) == len(vertices)
-
-
-def _trace_arcs(start, adjacency):
-    """Follow every arc leaving ``start`` through degree-2 vertices.
-
-    Returns (arc endpoints, interior vertices used), or None if an arc loops
-    back to ``start`` or revisits a vertex.
-    """
-    endpoints = []
-    used: set[int] = set()
-    for first in adjacency[start]:
-        prev, cur = start, first
-        while len(adjacency[cur]) == 2:
-            if cur in used or cur == start:
-                return None
-            used.add(cur)
-            step = [w for w in adjacency[cur] if w != prev]
-            prev, cur = cur, step[0]
-        if cur == start:
-            return None
-        endpoints.append(cur)
-    return endpoints, used
+    ends = [v for v, neighbours in adjacency.items() if len(neighbours) != 2]
+    if len(ends) != 2 or any(len(adjacency[v]) != r0 for v in ends):
+        return False
+    a, b = ends
+    # every other vertex has degree 2, so a walk from a can end only at a or b
+    interior = 0
+    for first in adjacency[a]:
+        prev, cur = a, first
+        while cur != b:
+            if cur == a:  # the arc closes back on the end it left
+                return False
+            interior += 1
+            x, y = adjacency[cur]
+            prev, cur = cur, y if x == prev else x
+    return interior + 2 == len(vertices)
 
 
 def stratify(
@@ -187,15 +118,15 @@ def stratify(
     for simplex in complex.simplices():
         if simplex in override_map:
             r = override_map[simplex]
-            info[simplex] = StratumInfo(r, _rank(r), "override")
+            info[simplex] = StratumInfo(r, "override")
             continue
         p = len(simplex) - 1
         if p == n:
-            info[simplex] = StratumInfo(2, _rank(2), "exact")
+            info[simplex] = StratumInfo(2, "exact")
             continue
         if p == n - 1:
             r = len(complex.top_cofaces(simplex))
-            info[simplex] = StratumInfo(r, _rank(r), "exact")
+            info[simplex] = StratumInfo(r, "exact")
             continue
         info[simplex] = _classify_low_simplex(complex, simplex, warnings)
 
@@ -207,25 +138,23 @@ def _classify_low_simplex(
 ) -> StratumInfo:
     n = complex.dim
     p = len(simplex) - 1
-    ridge_counts = Counter(
+    candidates = {
         len(complex.top_cofaces(gamma))
         for gamma in complex.star(simplex)
         if len(gamma) - 1 == n - 1
-    )
-    candidates = set(ridge_counts) - {2}
+    } - {2}
     if not candidates:
         # only manifold-like ridge counts around: forced into the catch-all
-        return StratumInfo(2, _rank(2), "exact")
+        return StratumInfo(2, "exact")
     if len(candidates) > 1:
         # two distinct non-manifold counts exclude every single local model
-        return StratumInfo(2, _rank(2), "exact")
+        return StratumInfo(2, "exact")
     r0 = candidates.pop()
 
     link = complex.link(simplex)
     if p == n - 2:
-        recognized = _recognize_point_suspension(link)
-        if recognized == r0:
-            return StratumInfo(r0, _rank(r0), "exact")
+        if _is_point_suspension(link, r0):
+            return StratumInfo(r0, "exact")
         return _fallback(simplex, r0, warnings)
 
     # p < n - 2: necessary conditions only
@@ -239,7 +168,7 @@ def _classify_low_simplex(
         )
         if count not in (2, r0):
             return _fallback(simplex, r0, warnings)
-    return StratumInfo(r0, _rank(r0), "heuristic")
+    return StratumInfo(r0, "heuristic")
 
 
 def _fallback(simplex: Simplex, r0: int, warnings: list[str]) -> StratumInfo:
@@ -247,7 +176,7 @@ def _fallback(simplex: Simplex, r0: int, warnings: list[str]) -> StratumInfo:
         f"simplex {simplex}: candidate stratum {r0} rejected by link tests; "
         f"assigned the catch-all stratum 2"
     )
-    return StratumInfo(2, _rank(2), "fallback")
+    return StratumInfo(2, "fallback")
 
 
 def stratified_euler_characteristic(

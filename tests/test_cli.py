@@ -1,5 +1,7 @@
+import errno
 import io as stdio
 import json
+import os
 import sys
 
 import numpy as np
@@ -367,20 +369,61 @@ def test_non_finite_hull_point_exits_2_naming_the_vertex(capsys, tmp_path):
     assert "vertex 3 has a non-finite coordinate" in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"vertices": 5}, "missing point set field: 'points'"),
+        ([[1], [2]], "points must lie in R^d with d >= 2, got d = 1"),
+        ([[], []], "points must lie in R^d with d >= 2, got d = 0"),
+        ({"points": [[0, 0], [1, 0, 0], [0, 1]]}, "vertex 1 has 3 coordinates, expected 2"),
+    ],
+    ids=["no_points_field", "line", "point", "ragged"],
+)
+def test_bad_hull_input_exits_2_with_one_error_line(capsys, tmp_path, payload, message):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "hull", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def _sidecar_command(tmp_path, option, sidecar):
+    """A command that reads ``sidecar`` as its ``option`` file."""
+    path = tmp_path / "s2.json"
+    with path.open("w") as handle:
+        cio.dump_complex(boundary_of_simplex(3), handle)
+    if option == "--overrides":
+        return ["strata", str(path), "--overrides", str(sidecar)]
+    return ["verify", "subdivision", str(path), "--base", str(path), "--carrier", str(sidecar)]
+
+
+@pytest.mark.parametrize("option", ["--overrides", "--carrier"])
+def test_missing_sidecar_exits_2_naming_no_such_file(capsys, tmp_path, option):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, *_sidecar_command(tmp_path, option, missing))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {missing}: no such file\n"
+
+
+@pytest.mark.parametrize("option", ["--overrides", "--carrier"])
+def test_directory_sidecar_exits_2(capsys, tmp_path, option):
+    directory = tmp_path / "sidecar"
+    directory.mkdir()
+    code, out, err = run_cli(capsys, *_sidecar_command(tmp_path, option, directory))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {directory}: {os.strerror(errno.EISDIR)}\n"
+
+
 @pytest.fixture
 def sphere3_file(tmp_path):
     path = tmp_path / "dD4.json"
     with path.open("w") as handle:
         cio.dump_complex(boundary_of_simplex(4), handle)
     return str(path)
-
-
-def test_bad_thread_env_exits_2_naming_the_variable(capsys, monkeypatch, sphere3_file):
-    monkeypatch.setenv("ASC_CURV_THREADS", "abc")
-    code, out, err = run_cli(capsys, "verify", "gauss-bonnet", sphere3_file, "--samples", "1000")
-    assert code == 2
-    assert out == ""
-    assert "ASC_CURV_THREADS" in err and "'abc'" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

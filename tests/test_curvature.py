@@ -387,17 +387,20 @@ def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, wei
 
 def _fraction_evaluate(form, cache):
     """Reference: a form evaluated with ``Fraction`` weights, summing the
-    same floats in the same order."""
+    same floats in the same order; a pair of codimension 0 or 1 is taken
+    exactly, at the angle 1 or 1/2."""
     rational = Fraction(form.const, form.den)
     float_part = 0.0
     variance = 0.0
     exact = True
     for pair, c in form.coeffs.items():
         coeff = Fraction(c, form.den)
-        angle = cache._values[pair]
-        if angle.rational is not None:
-            rational += coeff * angle.rational
+        eta, sigma = pair
+        codim = len(sigma) - len(eta)
+        if codim <= 1:
+            rational += coeff / 2**codim
             continue
+        angle = cache._values[pair]
         float_part += float(coeff) * angle.value
         variance += (float(coeff) * angle.std_error) ** 2
         if angle.method != "exact":
@@ -607,10 +610,10 @@ def test_folded_forms_evaluate_like_unfolded_ones_bit_for_bit(sphere3, book, joi
         cache = AngleCache(embedded, cfg)
         cache.fill({pair for _, reference in pairs for pair in reference.coeffs})
         for form, reference in pairs:
-            assert _hex(form.evaluate(cache)) == _hex(reference.evaluate(cache))
+            assert _hex(form.evaluate(cache)) == _bits(*_fraction_evaluate(reference, cache))
         summary = gauss_bonnet_check(embedded, assignment, cache=cache).summary
         lhs = (summary["lhs"].hex(), summary["lhs_std_error"].hex(), summary["exact"])
-        assert lhs == _hex(reference_total.evaluate(cache))
+        assert lhs == _bits(*_fraction_evaluate(reference_total, cache))
         monte_carlo += sum(angle.method == "monte_carlo" for angle in cache._values.values())
     assert monte_carlo
     for dim, seed in ((3, 21), (5, 22)):
@@ -622,9 +625,9 @@ def test_folded_forms_evaluate_like_unfolded_ones_bit_for_bit(sphere3, book, joi
             alternating, defect = _unfolded_sommerville_forms(sigma, tau)
             cache.fill(alternating.coeffs.keys() | defect.coeffs.keys())
             for name, form in (("alternating", alternating), ("defect", defect)):
-                value = form.evaluate(cache)
-                assert report[f"{name}_residual"].hex() == value.value.hex()
-                assert report[f"{name}_std_error"].hex() == value.std_error.hex()
+                value, std_error, _ = _fraction_evaluate(form, cache)
+                assert report[f"{name}_residual"].hex() == value.hex()
+                assert report[f"{name}_std_error"].hex() == std_error.hex()
                 assert report[f"{name}_std_error"] > 0  # Monte Carlo angles took part
             assert report["defect_rhs"] == Fraction(-defect.const, defect.den)
 

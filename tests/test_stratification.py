@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simcurv import stratification
 from simcurv.complexes import SimplicialComplex
 from simcurv.stratification import (
     StratumInfo,
+    _is_point_suspension,
     stratified_euler_characteristic,
     stratify,
     suspension_euler_characteristic,
@@ -131,11 +132,7 @@ def test_chi_s_invariant_under_barycentric_subdivision(sphere2, book):
         assert before == after
 
 
-def _strata(assignment):
-    return {s: (info.r, info.rank, info.tier) for s, info in assignment.info.items()}
-
-
-def test_shared_ranks_match_fresh_fractions(monkeypatch, sphere3, book):
+def test_shared_ranks_match_fresh_fractions(sphere3, book):
     cases = [
         (sphere3.complex, None),
         (book.complex, None),  # exact and heuristic tiers
@@ -144,26 +141,92 @@ def test_shared_ranks_match_fresh_fractions(monkeypatch, sphere3, book):
         (SimplicialComplex([(0, 1, 2), (0, 1, 3), (4, 5, 6, 7)]), None),  # r = 0
         (book.complex, {(0, 3): 5, (0, 1, 2, 3): 7, (0, 1, 2): 0}),
     ]
-    shared = [stratify(complex, overrides) for complex, overrides in cases]
-    for assignment in shared:
-        by_r = {}
-        for info in assignment.info.values():
-            assert by_r.setdefault(info.r, info.rank) is info.rank  # one Fraction per r
-    monkeypatch.setattr(stratification, "_rank", lambda r: Fraction(r, 2))
-    for (complex, overrides), assignment in zip(cases, shared):
-        fresh = stratify(complex, overrides)
-        assert _strata(assignment) == _strata(fresh)
-        assert assignment.warnings == fresh.warnings
+    for complex, overrides in cases:
+        assignment = stratify(complex, overrides)
+        for s, info in assignment.info.items():
+            assert info.rank == assignment.rank(s) == Fraction(info.r, 2)
         reference = sum(
-            (fresh.rank(s) * (-1) ** (len(s) - 1) for s in complex.simplices()), Fraction(0)
+            (Fraction(assignment.r(s), 2) * (-1) ** (len(s) - 1) for s in complex.simplices()),
+            Fraction(0),
         )
         assert stratified_euler_characteristic(complex, assignment) == reference
 
 
 def test_stratum_info_checks_its_rank():
-    with pytest.raises(ValueError, match="rank must equal r/2"):
+    # the rank is derived from r: no StratumInfo can carry another one
+    assert StratumInfo(3, "exact").rank == Fraction(3, 2)
+    assert StratumInfo(1000, "override").rank == 500
+    with pytest.raises(TypeError):
         StratumInfo(3, Fraction(1), "exact")
-    with pytest.raises(ValueError, match="rank must equal r/2"):
-        StratumInfo(2, Fraction(3, 2), "exact")
-    assert StratumInfo(3, Fraction(3, 2), "exact").rank == Fraction(3, 2)  # a fresh, equal rank
-    assert StratumInfo(1000, Fraction(500), "override").r == 1000
+    with pytest.raises(AttributeError):
+        StratumInfo(3, "exact").rank = Fraction(1)
+
+
+# -- one-dimensional links ---------------------------------------------------
+
+
+def _canonical_graph(n, edges):
+    """The least sorted edge list over every relabelling of vertices 0..n-1."""
+    return n, min(
+        tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+        for perm in permutations(range(n))
+    )
+
+
+def _suspension_models(r, max_vertices):
+    """Canonical graphs of the suspension of r points on at most
+    ``max_vertices`` vertices: two points for r = 0; otherwise two ends 0
+    and 1 joined by r paths with k_j interior vertices each, at most one
+    k_j zero (an arc for r = 1, a subdivided theta for r >= 3)."""
+    if r == 0:
+        return {_canonical_graph(2, [])}
+    models = set()
+    for interiors in combinations_with_replacement(range(max_vertices - 1), r):
+        n = 2 + sum(interiors)
+        if n > max_vertices or interiors.count(0) > 1:
+            continue
+        edges, fresh = [], 2
+        for k in interiors:
+            path = [0, *range(fresh, fresh + k), 1]
+            fresh += k
+            edges += zip(path, path[1:])
+        models.add(_canonical_graph(n, edges))
+    return models
+
+
+def test_point_suspension_matches_an_oracle_on_every_small_graph():
+    models = {r: _suspension_models(r, 5) for r in (0, 1, 3, 4)}
+    assert [len(models[r]) for r in (0, 1, 3, 4)] == [1, 4, 3, 1]
+    matched = dict.fromkeys(models, 0)
+    for n in range(1, 6):
+        possible = list(combinations(range(n), 2))
+        for mask in range(1 << len(possible)):
+            edges = [e for j, e in enumerate(possible) if mask >> j & 1]
+            isolated = [(v,) for v in range(n) if not any(v in e for e in edges)]
+            link = SimplicialComplex(edges + isolated)
+            graph = _canonical_graph(n, edges)
+            for r, found in models.items():
+                expected = graph in found
+                assert _is_point_suspension(link, r) == expected, (edges, n, r)
+                matched[r] += expected
+    # every model shows up, once per labelling
+    assert matched == {0: 1, 1: 1 + 3 + 12 + 60, 3: 6 + 10 + 60, 4: 10}
+
+
+def test_seam_of_three_discs_is_exact_at_codimension_two():
+    # three discs coned over one triangle boundary: the seam vertices have a
+    # theta link with three arcs, the suspension of three points
+    k = SimplicialComplex([t for a in (3, 4, 5) for t in ((0, 1, a), (1, 2, a), (0, 2, a))])
+    assignment = stratify(k)
+    for v in (0, 1, 2):
+        assert assignment.r((v,)) == 3 and assignment.tier((v,)) == "exact"
+    assert not assignment.warnings
+
+
+def test_theta_degrees_with_a_loop_fall_back():
+    # the link of vertex 0 has two vertices of degree 3, but one arc leaving
+    # vertex 1 closes back on it: not a theta
+    link = [(1, 3), (2, 3), (1, 4), (4, 5), (1, 5), (2, 6), (6, 7), (2, 7)]
+    assignment = stratify(SimplicialComplex([(0, a, b) for a, b in link]))
+    assert assignment.r((0,)) == 2 and assignment.tier((0,)) == "fallback"
+    assert any("(0,)" in w and "candidate stratum 3" in w for w in assignment.warnings)
