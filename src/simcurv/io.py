@@ -40,7 +40,7 @@ def format_fraction(value: Fraction) -> str:
 def parse_number(entry: Any) -> float:
     if isinstance(entry, str):
         return float(Fraction(entry))
-    if isinstance(entry, (int, float)):
+    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
         return float(entry)
     raise FileFormatError(f"expected a number or 'p/q' string, got {entry!r}")
 

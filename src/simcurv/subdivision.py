@@ -1,11 +1,10 @@
 """Stellar and barycentric subdivision of embedded complexes, with carriers.
 
 The carrier of a refined simplex is the unique base simplex whose relative
-interior contains its barycenter; it is found geometrically (barycentric
-coordinates, tolerance 1e-9), which also validates that the refinement really
-covers the same point set.  Carriers are located in one batch: each base top
-simplex gets one shared least-squares solve for every barycenter still
-unlocated, so the cost is one solve per base top simplex, not one per pair.
+interior contains its barycenter: the union of its vertices' carriers.  The
+constructions know each vertex's carrier and take unions.  Only
+``compute_carriers`` locates anything, and only the refined vertices: one
+least-squares solve per base top simplex (tolerance 1e-9).
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ import numpy as np
 from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
 from simcurv.geometry import DEGENERACY_TOL, EmbeddedComplex, GeometryError
 
-# Right-hand-side columns per carrier solve.  A refined complex puts thousands
-# of barycenters into one solve (2594 for the third barycentric subdivision of
-# a tetrahedron boundary), and a solve that wide makes OpenBLAS start its own
-# threads in some processes: there ``locate_points`` took 0.24 s instead of
-# 0.02 s on a 2-vCPU VM.  Chunks of 1024 columns stay on the calling thread
-# and give the same coefficients, bit for bit.
+# Right-hand-side columns per location solve.  Thousands of points in one
+# solve (2594 for the barycenters of the third barycentric subdivision of a
+# tetrahedron boundary) made OpenBLAS start its own threads in some
+# processes: there ``locate_points`` took 0.24 s instead of 0.02 s on a
+# 2-vCPU VM.  Chunks of 1024 columns stay on the calling thread and give the
+# same coefficients, bit for bit.
 SOLVE_CHUNK_COLUMNS = 1024
 
 
@@ -35,9 +34,9 @@ class SubdivisionPair:
 
     Construction raises ValueError unless the carrier map has exactly the
     refined simplices as keys and only base simplices as values, and each
-    simplex's carrier is the union of its vertices' carriers (the smallest
-    base simplex containing them; the barycenter's coordinates are positive
-    on exactly that union).  The carriers of the vertices are trusted."""
+    simplex's carrier is the union of its vertices' carriers: the base
+    simplex on which its barycenter's coordinates are positive.  The
+    carriers of the vertices are trusted."""
 
     base: EmbeddedComplex
     refined: EmbeddedComplex
@@ -53,10 +52,11 @@ class SubdivisionPair:
                 raise ValueError(
                     f"carrier {list(zeta)} of {list(tau)} is not a simplex of the base complex"
                 )
-            union = tuple(sorted({w for v in tau for w in self.carrier[(v,)]}))
-            if zeta != union:
+        union = _union_carriers(refined, {v: self.carrier[(v,)] for v in refined.vertices()})
+        for tau, expected in union.items():
+            if self.carrier[tau] != expected:
                 raise ValueError(
-                    f"carrier {list(zeta)} of {list(tau)} is not {list(union)}, "
+                    f"carrier {list(self.carrier[tau])} of {list(tau)} is not {list(expected)}, "
                     f"the union of its vertices' carriers"
                 )
         for tau in self.carrier:
@@ -66,16 +66,15 @@ class SubdivisionPair:
                 )
 
 
-def _barycentric_coordinates(point: np.ndarray, simplex_points: np.ndarray) -> np.ndarray | None:
-    """Coefficients of ``point`` over the simplex vertices, or None if the
-    point is not in the affine hull (within ``DEGENERACY_TOL``)."""
-    k = len(simplex_points)
-    system = np.vstack([simplex_points.T, np.ones((1, k))])
-    target = np.concatenate([point, [1.0]])
-    coeffs, *_ = np.linalg.lstsq(system, target, rcond=None)
-    if np.abs(system @ coeffs - target).max() > DEGENERACY_TOL:
-        return None
-    return coeffs
+def _union_carriers(
+    refined: SimplicialComplex, vertex_carrier: dict[int, Simplex]
+) -> dict[Simplex, Simplex]:
+    """Each simplex of ``refined``, in ``simplices()`` order, mapped to the
+    sorted union of its vertices' carriers."""
+    return {
+        tau: tuple(sorted({w for v in tau for w in vertex_carrier[v]}))
+        for tau in refined.simplices()
+    }
 
 
 def _solve_columns(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -127,15 +126,18 @@ def locate_point(embedded: EmbeddedComplex, point: np.ndarray) -> Simplex | None
 
 
 def compute_carriers(base: EmbeddedComplex, refined: EmbeddedComplex) -> dict[Simplex, Simplex]:
-    order = refined.complex.simplices()
-    found = locate_points(base, refined.barycenters(order))
-    for tau, carrier in zip(order, found):
+    """Carriers of a refinement known only by its geometry: the refined
+    vertices are located in ``base`` and every simplex gets their union.
+    Raises GeometryError for the first vertex that lies in no base simplex."""
+    vertices = refined.complex.vertices()
+    found = locate_points(base, refined.points(vertices))
+    for v, carrier in zip(vertices, found):
         if carrier is None:
             raise GeometryError(
-                f"barycenter of {tau} lies in no base simplex; the refinement "
+                f"barycenter of {(v,)} lies in no base simplex; the refinement "
                 f"does not cover the base complex within tolerance"
             )
-    return dict(zip(order, found))
+    return _union_carriers(refined.complex, dict(zip(vertices, found)))
 
 
 def stellar_subdivide(
@@ -155,16 +157,12 @@ def stellar_subdivide(
         raise KeyError(f"{sigma} is not in the complex")
     if len(sigma) < 2:
         raise ValueError("stellar subdivision needs a simplex of dimension >= 1")
-    location = (
-        embedded.barycenter(sigma)
-        if point is None
-        else np.asarray(point, dtype=float)
-    )
-    coords = _barycentric_coordinates(location, embedded.points(sigma))
-    if coords is None or coords.min() <= DEGENERACY_TOL:
-        raise GeometryError(
-            f"subdivision point must lie in the relative interior of {sigma}"
-        )
+    location = embedded.barycenter(sigma) if point is None else np.asarray(point, dtype=float)
+    system = np.vstack([embedded.points(sigma).T, np.ones((1, len(sigma)))])
+    target = np.append(location, 1.0)
+    coeffs = np.linalg.lstsq(system, target, rcond=None)[0]
+    if np.abs(system @ coeffs - target).max() > DEGENERACY_TOL or coeffs.min() <= DEGENERACY_TOL:
+        raise GeometryError(f"subdivision point must lie in the relative interior of {sigma}")
     new_vertex = max(complex.vertices()) + 1
     maximal = []
     for gamma in complex.maximal:
@@ -174,10 +172,10 @@ def stellar_subdivide(
         for drop in sigma:
             maximal.append(tuple(v for v in gamma if v != drop) + (new_vertex,))
     refined_complex = SimplicialComplex(maximal)
-    new_coords = dict(embedded.coordinates)
-    new_coords[new_vertex] = location
+    new_coords = dict(embedded.coordinates) | {new_vertex: location}
     refined = EmbeddedComplex(refined_complex, new_coords, embedded.ambient_dim)
-    return SubdivisionPair(embedded, refined, compute_carriers(embedded, refined))
+    vertex_carrier = {v: (v,) for v in complex.vertices()} | {new_vertex: sigma}
+    return SubdivisionPair(embedded, refined, _union_carriers(refined_complex, vertex_carrier))
 
 
 def barycentric_subdivide(embedded: EmbeddedComplex) -> SubdivisionPair:
@@ -194,7 +192,8 @@ def barycentric_subdivide(embedded: EmbeddedComplex) -> SubdivisionPair:
             maximal.append(tuple(vertex_of[f] for f in chain))
     refined_complex = SimplicialComplex(maximal)
     refined = EmbeddedComplex(refined_complex, coords, embedded.ambient_dim)
-    return SubdivisionPair(embedded, refined, compute_carriers(embedded, refined))
+    carrier = _union_carriers(refined_complex, dict(enumerate(order)))
+    return SubdivisionPair(embedded, refined, carrier)
 
 
 def carrier_lookup(tau: Simplex, pair: SubdivisionPair) -> Simplex:

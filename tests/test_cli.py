@@ -10,6 +10,7 @@ import pytest
 from simcurv import io as cio
 from simcurv.cli import main
 from simcurv.generators import boundary_of_simplex, cross_polytope, triple_book
+from simcurv.subdivision import stellar_subdivide
 
 
 def run_cli(capsys, *argv):
@@ -662,17 +663,73 @@ _TRIANGLE = {
         ("strata", {**_TRIANGLE, "rank_overrides": 5}, "rank overrides must be a list, got 5"),
         ("hull", {"points": 5}, "points must be a list, got 5"),
         ("hull", {"points": [[0, 0], [1, 0], 5]}, "vertex 2 must be a list, got 5"),
+        (
+            "info",
+            {**_TRIANGLE, "vertices": [[0, 0], [1, False], [0, 1]]},
+            "expected a number or 'p/q' string, got False",
+        ),
+        (
+            "hull",
+            {"points": [[True, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]},
+            "expected a number or 'p/q' string, got True",
+        ),
     ],
-    ids=["vertices", "vertex_row", "maximal_simplices", "rank_overrides", "points", "point_row"],
+    ids=[
+        "vertices", "vertex_row", "maximal_simplices", "rank_overrides", "points", "point_row",
+        "vertex_boolean", "point_boolean",
+    ],
 )
 def test_malformed_shape_exits_2_with_one_error_line(capsys, tmp_path, command, payload, message):
-    # each used to end in a TypeError traceback and exit 1
+    # each used to end in a TypeError traceback and exit 1, except the
+    # booleans, which were read as the coordinates 0.0 and 1.0 (exit 0)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("mode", [["--barycentric"], ["--stellar", "[0, 1, 2]"]])
+def test_verify_subdivision_locates_carriers_like_the_sidecar(capsys, tmp_path, mode):
+    base_path = tmp_path / "dD3.json"
+    with base_path.open("w") as handle:
+        cio.dump_complex(boundary_of_simplex(3), handle)
+    carrier_path = tmp_path / "carrier.json"
+    code, out, _ = run_cli(
+        capsys, "subdivide", str(base_path), *mode, "--carrier-out", str(carrier_path)
+    )
+    assert code == 0
+    refined_path = tmp_path / "refined.json"
+    refined_path.write_text(out)
+    command = ["verify", "subdivision", str(refined_path), "--base", str(base_path)]
+    for fmt in ("table", "json"):
+        options = ["--samples", "2000", "--format", fmt]
+        code, located, _ = run_cli(capsys, *command, *options)
+        assert code == 0
+        code, given, _ = run_cli(capsys, *command, "--carrier", str(carrier_path), *options)
+        assert code == 0
+        assert located == given
+
+
+def test_verify_subdivision_refuses_a_chord_through_the_base(capsys, tmp_path):
+    # the edge [3, 4] joins a base vertex to the new vertex inside [0, 1, 2]:
+    # its carrier would be [0, 1, 2, 3], which is no simplex of the sphere
+    sphere = boundary_of_simplex(3)
+    base_path = tmp_path / "dD3.json"
+    with base_path.open("w") as handle:
+        cio.dump_complex(sphere, handle)
+    refined = cio.complex_to_dict(stellar_subdivide(sphere, (0, 1, 2)).refined)
+    refined["maximal_simplices"].append([3, 4])
+    refined_path = tmp_path / "chord.json"
+    refined_path.write_text(json.dumps(refined))
+    code, out, err = run_cli(
+        capsys, "verify", "subdivision", str(refined_path), "--base", str(base_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "carrier [0, 1, 2, 3] of [3, 4] is not a simplex of the base complex" in err
 
 
 @pytest.mark.parametrize("sidecar", ["overrides", "carrier"])

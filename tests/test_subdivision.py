@@ -176,6 +176,21 @@ def test_batched_carriers_match_per_point_reference(make):
             expected = _reference_locate(pair.base, point)
             assert pair.carrier[tau] == expected
             assert locate_point(pair.base, point) == expected
+        located = compute_carriers(pair.base, pair.refined)
+        assert list(located.items()) == list(pair.carrier.items())
+
+
+def test_subdivisions_locate_nothing(monkeypatch, sphere2, book):
+    import simcurv.subdivision as subdivision
+
+    def refuse(*args):
+        raise AssertionError("a construction located points")
+
+    monkeypatch.setattr(subdivision, "locate_points", refuse)
+    for embedded in (sphere2, book):
+        top = embedded.complex.simplices(embedded.complex.dim)[0]
+        for pair in (barycentric_subdivide(embedded), stellar_subdivide(embedded, top[:2])):
+            assert len(pair.carrier) == len(pair.refined.complex.simplices())
 
 
 def test_locate_points_batch_matches_single_calls(sphere2):
