@@ -128,8 +128,11 @@ def join_of_sphere_boundaries(a: int = 2, b: int = 2) -> EmbeddedComplex:
 
 
 def random_simplex(n: int, seed: int = 0) -> EmbeddedComplex:
-    """One solid n-simplex with Gaussian vertices, retried until well shaped."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """One solid n-simplex with Gaussian vertices, retried until well shaped;
+    a negative seed is taken modulo 2^64, as the Monte Carlo streams take it."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed & (1 << 64) - 1)))
     for _ in range(100):
         points = rng.standard_normal((n + 1, n))
         edges = points[1:] - points[0]

@@ -29,8 +29,11 @@ The thread pool is process-wide: one ``ThreadPoolExecutor`` per worker
 count, started on first use and kept, so a fill of a few Monte Carlo pairs
 pays no thread start-up.  A fork hook forgets the pools in the child, which
 has none of its parent's threads.  Every caller fills before it evaluates,
-``sommerville_residuals`` included: it fills the pairs of both its forms in
-one batch.
+``sommerville_residuals`` included: into a caller's cache it fills, in one
+batch, the pairs of every Sommerville form on its simplex, so the Monte
+Carlo angles of a sweep over one simplex's faces (4 per tetrahedron, 41 per
+5-simplex) run as one parallel fill; without a cache it fills only the pairs
+of its own two forms.
 
 Monte Carlo streams are counter-based: each (seed, face index, top index,
 block index) tuple keys an independent SFC64 stream through a
@@ -580,15 +583,23 @@ def sommerville_residuals(
       - 1/2 sum_{i=p+1}^{n-2} (-1)^(i+1) sum_eta alpha(eta, sigma)
       minus (1/2 - (n-p)/4).
 
-    The cache is filled with the pairs of both forms in one batch (pairs it
-    already holds are reused), then both are evaluated.  Returns a dict with
-    both residuals and their propagated standard errors.
+    A caller's ``cache`` is filled in one batch with the pairs of every
+    Sommerville form on sigma, (eta, sigma) for each face eta of codimension
+    >= 2, so a sweep over the taus of sigma computes all its Monte Carlo
+    angles in one parallel fill and the later calls reuse them.  Without a
+    cache only this tau's two forms are filled, since the private cache is
+    dropped after the call.  Pairs a cache already holds are reused, then
+    both forms are evaluated.  Returns a dict with both residuals and their
+    propagated standard errors.
     """
     sigma = as_simplex(sigma)
     tau = as_simplex(tau)
     alternating, defect = _sommerville_forms(sigma, tau)
     book = _require_cache(embedded, cfg, cache)
-    book.fill(alternating.coeffs.keys() | defect.coeffs.keys())
+    if cache is None:
+        book.fill(alternating.coeffs.keys() | defect.coeffs.keys())
+    else:  # the faces of sigma of codimension >= 2
+        book.fill((eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k))
     alt = alternating.evaluate(book)
     dev = defect.evaluate(book)
     rhs_defect = Fraction(-defect.const, defect.den)

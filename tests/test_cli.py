@@ -316,6 +316,33 @@ def test_verify_sommerville_on_random_simplex(capsys, monkeypatch):
     assert payload["summary"]["pairs"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["0"], "n must be at least 1"),
+        (["-1"], "n must be at least 1"),
+        (["1", "--seed", "-1"], None),
+        (["3", "--seed", "-1"], None),
+    ],
+)
+def test_random_simplex_input_exits_2_or_succeeds(capsys, argv, message):
+    # 0 and -1 used to end in numpy's "zero-size array" and "negative
+    # dimensions" errors, a negative seed in "expected non-negative integer"
+    code, out, err = run_cli(capsys, "generate", "random-simplex", *argv)
+    if message is None:
+        assert code == 0 and err == ""
+        assert cio.complex_from_dict(json.loads(out)).complex.dim == int(argv[0])
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_random_simplex_masks_a_negative_seed_to_64_bits(capsys):
+    _, negative, _ = run_cli(capsys, "generate", "random-simplex", "3", "--seed", "-1")
+    _, masked, _ = run_cli(capsys, "generate", "random-simplex", "3", "--seed", str(2**64 - 1))
+    assert negative == masked
+
+
 def test_seed_and_thread_determinism(capsys, tmp_path):
     path = tmp_path / "dD4.json"
     with path.open("w") as handle:

@@ -209,18 +209,62 @@ def test_sommerville_residuals_fill_both_forms_at_once():
     cache = AngleCache(five, AngleConfig(samples=2000, seed=4, threads=2))
     sommerville_residuals(sigma, tau, five, cache=cache)
     alternating, defect = _sommerville_forms(sigma, tau)
-    assert alternating.coeffs.keys() | defect.coeffs.keys() == cache._values.keys()
+    assert alternating.coeffs.keys() | defect.coeffs.keys() <= cache._values.keys()
+    # a caller's cache gets every Sommerville pair of sigma: faces of codim >= 2
+    faces = {(eta, sigma) for k in range(1, 5) for eta in combinations(sigma, k)}
+    assert cache._values.keys() == faces
+
+
+def _record_solid_angles(monkeypatch) -> list:
+    """Patch ``geometry.solid_angle`` to record the pair of every call; the
+    fill makes one call per Monte Carlo angle."""
+    computed = []
+    real = geometry.solid_angle
+
+    def recording(eta, sigma, *args):
+        computed.append((eta, sigma))
+        return real(eta, sigma, *args)
+
+    monkeypatch.setattr(geometry, "solid_angle", recording)
+    return computed
+
+
+def test_sommerville_residuals_without_a_cache_compute_only_their_forms(monkeypatch):
+    from simcurv.geometry import _sommerville_forms
+
+    five = random_simplex(5, seed=4)
+    sigma, tau = tuple(range(6)), (0,)
+    computed = _record_solid_angles(monkeypatch)
+    sommerville_residuals(sigma, tau, five, AngleConfig(samples=2000, seed=4, threads=2))
+    alternating, defect = _sommerville_forms(sigma, tau)
+    pairs = alternating.coeffs.keys() | defect.coeffs.keys()
+    assert sorted(computed) == sorted(p for p in pairs if len(p[1]) - len(p[0]) >= 3)
+    assert len(computed) == 16  # the vertex, its 5 edges and 10 triangles
+
+
+def test_sommerville_residuals_reuse_the_simplex_batch_for_another_tau(monkeypatch):
+    five = random_simplex(5, seed=4)
+    sigma = tuple(range(6))
+    cache = AngleCache(five, AngleConfig(samples=2000, seed=4, threads=2))
+    computed = _record_solid_angles(monkeypatch)
+    sommerville_residuals(sigma, (0, 2, 5), five, cache=cache)
+    assert len(computed) == 41  # 6 vertices, 15 edges and 20 triangles
+    computed.clear()
+    sommerville_residuals(sigma, (1,), five, cache=cache)
+    assert computed == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sommerville_residuals_equal_the_pair_by_pair_path(threads):
     from simcurv.geometry import _sommerville_forms
 
-    for dim, seed, taus in [(3, 5, [(1,), (3,)]), (5, 6, [(0,), (1, 3, 4), (2,)])]:
+    for dim, seed in [(3, 5), (5, 6)]:
         embedded = random_simplex(dim, seed=seed)
         sigma = tuple(range(dim + 1))
         batched = AngleCache(embedded, AngleConfig(samples=4000, seed=seed, threads=threads))
         reference = AngleCache(embedded, AngleConfig(samples=4000, seed=seed, threads=1))
+        # every even tau (p <= n - 2), vertices first, as criterion 3 sweeps them
+        taus = [t for p in range(0, dim - 1, 2) for t in combinations(sigma, p + 1)]
         for tau in taus:
             report = sommerville_residuals(sigma, tau, embedded, cache=batched)
             alternating, defect = _sommerville_forms(sigma, tau)
