@@ -77,14 +77,6 @@ class SimplicialComplex:
             for f in proper_faces(top):
                 self._top_cofaces[f] = self._top_cofaces[f] + (top,)
 
-    @classmethod
-    def from_maximal(cls, maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        return cls(maximal)
-
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        return cls([], _allow_empty=True)
-
     # -- basic queries -----------------------------------------------------
 
     def __contains__(self, simplex: Iterable[int]) -> bool:

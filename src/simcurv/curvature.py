@@ -21,10 +21,13 @@ hold only pairs of codimension >= 2, which the fill computes and the
 evaluation sums.  The constant is the same exact rational, and the float
 terms keep their order, so every value is the one the unfolded form gives.
 
-Every curvature and every check (Gauss-Bonnet, vanishing, subdivision,
-Sommerville) builds its forms and hands them to ``_evaluate``, which fills
-the cache with all their pairs in one batch and evaluates each form; checks
-decide each row with ``_verdict``.  The form class lives in ``simcurv.geometry``.
+Every curvature and every check (Gauss-Bonnet, vanishing, subdivision)
+builds its forms and hands them to ``_evaluate``, which fills the cache with
+all their pairs in one batch and evaluates each form.  The Sommerville check
+builds no form of its own: it sweeps ``geometry.sommerville_residuals`` over
+one cache, which holds the one fill rule and the forms of that identity.
+Checks decide each row with ``_verdict``.  The form class lives in
+``simcurv.geometry``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from simcurv.geometry import (
     EmbeddedComplex,
     _AngleForm,
     _require_cache,
-    _sommerville_forms,
+    sommerville_residuals,
 )
 from simcurv.sequences import angle_defect_term
 from simcurv.stratification import (
@@ -158,13 +161,12 @@ def _curvature(
     assignment: StratumAssignment | None,
     cfg: AngleConfig | None,
     cache: AngleCache | None,
-    *weights: WeightFn,
 ) -> CurvatureValue:
     """The curvature of one simplex by the form builder ``_FORMS[kind]``,
     filled and evaluated."""
     simplex = as_simplex(simplex)
     assignment = _require_assignment(embedded, assignment)
-    form = _FORMS[kind](simplex, embedded.complex, assignment, *weights)
+    form = _FORMS[kind](simplex, embedded.complex, assignment)
     return _evaluate(_require_cache(embedded, cfg, cache), {simplex: form})[simplex]
 
 
@@ -200,15 +202,13 @@ def ascending_stratified_curvature(
     assignment: StratumAssignment | None = None,
     cfg: AngleConfig | None = None,
     cache: AngleCache | None = None,
-    weights: WeightFn = angle_defect_term,
 ) -> CurvatureValue:
     """Angle-defect-sequence weighted combination of defects over cofaces.
 
     Exactly zero for odd-dimensional simplices (the weight vanishes) and in
-    codimensions 0 and 1.  ``weights`` is swappable to demonstrate that the
-    recursion satisfied by the default sequence is load-bearing.
+    codimensions 0 and 1.
     """
-    return _curvature("ascending", tau, embedded, assignment, cfg, cache, weights)
+    return _curvature("ascending", tau, embedded, assignment, cfg, cache)
 
 
 def curvature_table(
@@ -406,7 +406,6 @@ def subdivision_relation_check(
     refined_assignment: StratumAssignment | None = None,
     cfg: AngleConfig | None = None,
     z: float = DEFAULT_Z,
-    weights: WeightFn = angle_defect_term,
 ) -> TheoremReport:
     """For every refined simplex tau with carrier zeta:
     a_(dim zeta) * K(tau)  equals  a_(dim tau) * K(zeta),
@@ -418,11 +417,11 @@ def subdivision_relation_check(
     base_assignment = _require_assignment(base, base_assignment)
     refined_assignment = _require_assignment(refined, refined_assignment)
     refined_forms = {
-        tau: _ascending_form(tau, refined.complex, refined_assignment, weights)
+        tau: _ascending_form(tau, refined.complex, refined_assignment)
         for tau in refined.complex.simplices()
     }
     base_forms = {
-        zeta: _ascending_form(zeta, base.complex, base_assignment, weights)
+        zeta: _ascending_form(zeta, base.complex, base_assignment)
         for zeta in set(pair.carrier.values())
     }
     refined_values = _evaluate(AngleCache(refined, cfg), refined_forms)
@@ -432,8 +431,8 @@ def subdivision_relation_check(
         s = len(tau) - 1
         zeta = pair.carrier[tau]
         p = len(zeta) - 1
-        a_p = weights(p)
-        a_s = weights(s)
+        a_p = angle_defect_term(p)
+        a_s = angle_defect_term(s)
         right = base_values[zeta]
         residual = float(a_p) * left.value - float(a_s) * right.value
         std_error = math.hypot(float(a_p) * left.std_error, float(a_s) * right.std_error)
@@ -482,31 +481,20 @@ def sommerville_check(
     n = complex.dim
     if n % 2 == 0 or n < 3:
         raise ValueError(f"sommerville check needs an odd dimension >= 3, got {n}")
-    faces = [
-        (sigma, tau)
-        for sigma in complex.simplices(n)
-        for p in range(0, n - 1, 2)
-        for tau in combinations(sigma, p + 1)
-    ]
-    forms = {}
-    for sigma, tau in faces:
-        forms[sigma, tau, "alt"], forms[sigma, tau, "dev"] = _sommerville_forms(sigma, tau)
-    values = _evaluate(AngleCache(embedded, cfg), forms)
+    book = AngleCache(embedded, cfg)
     rows = []
-    for sigma, tau in faces:
-        alt, dev = values[sigma, tau, "alt"], values[sigma, tau, "dev"]
-        rows.append(
-            {
-                "sigma": list(sigma),
-                "tau": list(tau),
-                "alternating_residual": alt.value,
-                "alternating_std_error": alt.std_error,
-                "defect_residual": dev.value,
-                "defect_std_error": dev.std_error,
-                "pass": _verdict(alt.value, alt.std_error, alt.exact, z)
-                and _verdict(dev.value, dev.std_error, dev.exact, z),
-            }
-        )
+    for sigma in complex.simplices(n):
+        for p in range(0, n - 1, 2):
+            for tau in combinations(sigma, p + 1):
+                row = sommerville_residuals(sigma, tau, embedded, cache=book)
+                del row["defect_lhs"], row["defect_rhs"]
+                row["sigma"], row["tau"] = list(sigma), list(tau)
+                # _verdict reads a zero standard error as an exact residual
+                row["pass"] = all(
+                    _verdict(row[f"{form}_residual"], row[f"{form}_std_error"], False, z)
+                    for form in ("alternating", "defect")
+                )
+                rows.append(row)
     worst = max(rows, key=lambda r: abs(r["alternating_residual"]))
     return TheoremReport(
         name="sommerville",

@@ -29,11 +29,12 @@ The thread pool is process-wide: one ``ThreadPoolExecutor`` per worker
 count, started on first use and kept, so a fill of a few Monte Carlo pairs
 pays no thread start-up.  A fork hook forgets the pools in the child, which
 has none of its parent's threads.  Every caller fills before it evaluates,
-``sommerville_residuals`` included: into a caller's cache it fills, in one
-batch, the pairs of every Sommerville form on its simplex, so the Monte
-Carlo angles of a sweep over one simplex's faces (4 per tetrahedron, 41 per
-5-simplex) run as one parallel fill; without a cache it fills only the pairs
-of its own two forms.
+``sommerville_residuals`` included: it fills, in one batch, the pairs of
+every Sommerville form on its simplex, so the Monte Carlo angles of a sweep
+over one simplex's faces (4 per tetrahedron, 41 per 5-simplex) run as one
+parallel fill.  That is the one fill rule for Sommerville's identity:
+``simcurv.curvature.sommerville_check`` is a sweep of these calls over one
+cache.
 
 Monte Carlo streams are counter-based: each (seed, face index, top index,
 block index) tuple keys an independent SFC64 stream through a
@@ -50,7 +51,7 @@ correctly, so a form gives the same floats, summed in the same order, as
 0 or 1: ``_AngleForm.add_angles``, the one place that writes this fold, adds
 those angles, the constants 1 and 1/2, to the form's integer constant, so a
 fill computes no cone generators for them.  Sommerville's identity is built
-from two such forms here; the curvatures and theorem checks in
+from two such forms here; the curvatures and the other theorem checks in
 ``simcurv.curvature`` build theirs from the same class.
 """
 
@@ -430,11 +431,14 @@ def _require_cache(
     embedded: EmbeddedComplex, cfg: AngleConfig | None, cache: AngleCache | None
 ) -> AngleCache:
     """``cache``, or a new cache for ``embedded`` and ``cfg`` when it is None;
-    a cache built for any other ``EmbeddedComplex`` raises ValueError."""
+    a cache built for any other ``EmbeddedComplex``, or a ``cfg`` other than
+    the cache's own, raises ValueError."""
     if cache is None:
         return AngleCache(embedded, cfg)
     if cache.embedded is not embedded:
         raise ValueError("angle cache belongs to a different embedded complex")
+    if cfg is not None and cfg != cache.cfg:
+        raise ValueError(f"cfg {cfg} differs from the angle cache's {cache.cfg}")
     return cache
 
 
@@ -583,23 +587,18 @@ def sommerville_residuals(
       - 1/2 sum_{i=p+1}^{n-2} (-1)^(i+1) sum_eta alpha(eta, sigma)
       minus (1/2 - (n-p)/4).
 
-    A caller's ``cache`` is filled in one batch with the pairs of every
-    Sommerville form on sigma, (eta, sigma) for each face eta of codimension
-    >= 2, so a sweep over the taus of sigma computes all its Monte Carlo
-    angles in one parallel fill and the later calls reuse them.  Without a
-    cache only this tau's two forms are filled, since the private cache is
-    dropped after the call.  Pairs a cache already holds are reused, then
-    both forms are evaluated.  Returns a dict with both residuals and their
-    propagated standard errors.
+    The cache, the caller's or a private one, is filled in one batch with
+    the pairs of every Sommerville form on sigma, (eta, sigma) for each face
+    eta of codimension >= 2, so a sweep over the taus of sigma with one
+    cache computes all its Monte Carlo angles in one parallel fill and the
+    later calls reuse them.  Then both forms are evaluated.  Returns a dict
+    with both residuals and their propagated standard errors.
     """
     sigma = as_simplex(sigma)
     tau = as_simplex(tau)
     alternating, defect = _sommerville_forms(sigma, tau)
     book = _require_cache(embedded, cfg, cache)
-    if cache is None:
-        book.fill(alternating.coeffs.keys() | defect.coeffs.keys())
-    else:  # the faces of sigma of codimension >= 2
-        book.fill((eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k))
+    book.fill((eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k))
     alt = alternating.evaluate(book)
     dev = defect.evaluate(book)
     rhs_defect = Fraction(-defect.const, defect.den)

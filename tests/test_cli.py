@@ -349,6 +349,8 @@ def test_seed_and_thread_determinism(capsys, tmp_path):
         cio.dump_complex(boundary_of_simplex(4), handle)
     commands = [
         ["verify", "gauss-bonnet", str(path)],
+        ["verify", "vanishing", str(path)],
+        ["verify", "sommerville", str(path)],
         ["curvature", str(path), "--kind", "defect"],
         ["curvature", str(path), "--kind", "stratified"],
         ["curvature", str(path), "--kind", "ascending"],

@@ -656,12 +656,12 @@ def _scaled(embedded, factors):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda e, cache: generalized_angle_defect((0,), e, cache=cache),
-        lambda e, cache: stratified_curvature_at_vertex(0, e, cache=cache),
-        lambda e, cache: ascending_stratified_curvature((0,), e, cache=cache),
-        lambda e, cache: gauss_bonnet_check(e, cache=cache),
-        lambda e, cache: vanishing_check(e, cache=cache),
-        lambda e, cache: sommerville_residuals((0, 1, 2, 3), (0,), e, cache=cache),
+        lambda e, cache, cfg=None: generalized_angle_defect((0,), e, cfg=cfg, cache=cache),
+        lambda e, cache, cfg=None: stratified_curvature_at_vertex(0, e, cfg=cfg, cache=cache),
+        lambda e, cache, cfg=None: ascending_stratified_curvature((0,), e, cfg=cfg, cache=cache),
+        lambda e, cache, cfg=None: gauss_bonnet_check(e, cfg=cfg, cache=cache),
+        lambda e, cache, cfg=None: vanishing_check(e, cfg=cfg, cache=cache),
+        lambda e, cache, cfg=None: sommerville_residuals((0, 1, 2, 3), (0,), e, cfg, cache),
     ],
     ids=["defect", "stratified", "ascending", "gauss_bonnet", "vanishing", "sommerville"],
 )
@@ -674,3 +674,9 @@ def test_every_cache_parameter_refuses_another_embedding(sphere3, call):
         with pytest.raises(ValueError, match="angle cache belongs to a different embedded complex"):
             call(sphere3, cache)
         assert not cache._values
+    # a cfg passed next to the cache must be the cache's own, not silently dropped
+    cache = AngleCache(sphere3, cfg)
+    with pytest.raises(ValueError, match="differs from the angle cache's"):
+        call(sphere3, cache, AngleConfig(samples=50_000, seed=5))
+    assert not cache._values
+    call(sphere3, cache, AngleConfig(samples=1000, seed=1))  # an equal cfg is the cache's

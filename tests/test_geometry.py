@@ -229,17 +229,16 @@ def _record_solid_angles(monkeypatch) -> list:
     return computed
 
 
-def test_sommerville_residuals_without_a_cache_compute_only_their_forms(monkeypatch):
-    from simcurv.geometry import _sommerville_forms
-
+def test_sommerville_residuals_without_a_cache_fill_every_pair_of_sigma(monkeypatch):
     five = random_simplex(5, seed=4)
     sigma, tau = tuple(range(6)), (0,)
     computed = _record_solid_angles(monkeypatch)
     sommerville_residuals(sigma, tau, five, AngleConfig(samples=2000, seed=4, threads=2))
-    alternating, defect = _sommerville_forms(sigma, tau)
-    pairs = alternating.coeffs.keys() | defect.coeffs.keys()
-    assert sorted(computed) == sorted(p for p in pairs if len(p[1]) - len(p[0]) >= 3)
-    assert len(computed) == 16  # the vertex, its 5 edges and 10 triangles
+    # one fill rule: the private cache gets the pairs a caller's cache gets,
+    # and the Monte Carlo ones are the faces of codimension >= 3
+    faces = {(eta, sigma) for k in range(1, 4) for eta in combinations(sigma, k)}
+    assert len(computed) == len(faces) == 41  # 6 vertices, 15 edges and 20 triangles
+    assert set(computed) == faces
 
 
 def test_sommerville_residuals_reuse_the_simplex_batch_for_another_tau(monkeypatch):

@@ -6,25 +6,31 @@ from simcurv import sommerville_check
 from simcurv import io as cio
 from simcurv.cli import main
 from simcurv.curvature import DEFAULT_Z
-from simcurv.generators import boundary_of_simplex, random_simplex
+from simcurv.generators import boundary_of_simplex, cross_polytope, random_simplex
 from simcurv.geometry import AngleCache, AngleConfig, sommerville_residuals
 
 
-@pytest.mark.parametrize("dim, seed", [(3, 1), (3, 2), (5, 3)])
-def test_check_rows_match_per_pair_residuals(dim, seed):
-    embedded = random_simplex(dim, seed=seed)
+@pytest.mark.parametrize(
+    "embedded, seed, expected_pairs",
+    [
+        (random_simplex(3, seed=1), 1, 4),
+        (random_simplex(3, seed=2), 2, 4),
+        (random_simplex(5, seed=3), 3, 26),
+        (cross_polytope(4), 4, 64),  # 16 tetrahedra, 4 vertices each
+    ],
+    ids=["3-1", "3-2", "5-3", "cross-polytope-4"],
+)
+def test_check_rows_match_per_pair_residuals(embedded, seed, expected_pairs):
     cfg = AngleConfig(samples=20_000, seed=seed, threads=2)
     report = sommerville_check(embedded, cfg)
     lazy = AngleCache(embedded, cfg)
-    expected_pairs = 4 if dim == 3 else 26
     assert report.name == "sommerville"
     assert report.summary["pairs"] == len(report.rows) == expected_pairs
     for row in report.rows:
         res = sommerville_residuals(row["sigma"], row["tau"], embedded, cache=lazy)
         for form in ("alternating", "defect"):
-            value, sigma = res[f"{form}_residual"], res[f"{form}_std_error"]
-            assert abs(row[f"{form}_residual"] - value) <= 1e-15
-            assert row[f"{form}_std_error"] == sigma
+            assert row[f"{form}_residual"] == res[f"{form}_residual"]
+            assert row[f"{form}_std_error"] == res[f"{form}_std_error"]
         old_rule = all(
             abs(res[f"{form}_residual"]) <= max(DEFAULT_Z * res[f"{form}_std_error"], 1e-9)
             for form in ("alternating", "defect")
