@@ -20,6 +20,7 @@ from simcurv import generators, io, sequences
 from simcurv.curvature import (
     HypothesisError,
     TheoremReport,
+    _row,
     curvature_table,
     gauss_bonnet_check,
     sommerville_check,
@@ -84,9 +85,6 @@ def _read_stratified(path: str):
 
 
 def _angle_config(args) -> AngleConfig:
-    z = args.z_threshold
-    if not (math.isfinite(z) and z > 0):
-        raise _CliError(f"--z-threshold must be a positive finite number, got {z}")
     return AngleConfig(samples=args.samples, seed=args.seed, threads=args.threads)
 
 
@@ -94,7 +92,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--z-threshold", type=float, default=4.0)
     parser.add_argument("--format", choices=["table", "json"], default="table")
 
 
@@ -265,10 +262,8 @@ def _cmd_angles(args) -> int:
 
 def _cmd_curvature(args) -> int:
     embedded, assignment = _read_stratified(args.complex)
-    rows = [
-        {"simplex": list(s), "value": cv.value, "std_error": cv.std_error, "exact": cv.exact}
-        for s, cv in curvature_table(embedded, args.kind, assignment, _angle_config(args))
-    ]
+    table = curvature_table(embedded, args.kind, assignment, _angle_config(args))
+    rows = [_row(s, cv) for s, cv in table]
     _emit_rows(args.format, rows, {"kind": args.kind, "rows": rows})
     return EXIT_OK
 
@@ -306,8 +301,10 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _angle_config(args)
     z = args.z_threshold
+    if not (math.isfinite(z) and z > 0):
+        raise _CliError(f"--z-threshold must be a positive finite number, got {z}")
+    cfg = _angle_config(args)
     if args.check == "gauss-bonnet":
         embedded, assignment = _read_stratified(args.complex)
         report = gauss_bonnet_check(embedded, assignment, cfg, z=z)
@@ -385,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--base", help="base complex (verify subdivision)")
     p.add_argument("--carrier", help="carrier sidecar (verify subdivision)")
+    p.add_argument("--z-threshold", type=float, default=4.0)
     _add_run_options(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -219,21 +219,11 @@ def join_complexes(
 
 def cone_complex(base: SimplicialComplex) -> tuple[SimplicialComplex, int]:
     """Join with one new vertex; returns the cone and the apex id."""
-    apex = max(base.vertices()) + 1
-    joined, _ = _join_with_points(base, 1, apex)
-    return joined, apex
+    joined, mapping = join_complexes(base, SimplicialComplex([(0,)]))
+    return joined, mapping[0]
 
 
 def suspension_complex(base: SimplicialComplex) -> tuple[SimplicialComplex, tuple[int, int]]:
     """Join with two new vertices; returns the suspension and the pole ids."""
-    north = max(base.vertices()) + 1
-    joined, _ = _join_with_points(base, 2, north)
-    return joined, (north, north + 1)
-
-
-def _join_with_points(
-    base: SimplicialComplex, count: int, first_id: int
-) -> tuple[SimplicialComplex, tuple[int, ...]]:
-    apexes = tuple(range(first_id, first_id + count))
-    maximal = [m + (a,) for m in base.maximal for a in apexes]
-    return SimplicialComplex(maximal), apexes
+    joined, mapping = join_complexes(base, SimplicialComplex([(0,), (1,)]))
+    return joined, (mapping[0], mapping[1])

@@ -24,10 +24,13 @@ terms keep their order, so every value is the one the unfolded form gives.
 Every curvature and every check (Gauss-Bonnet, vanishing, subdivision)
 builds its forms and hands them to ``_evaluate``, which fills the cache with
 all their pairs in one batch and evaluates each form.  The Sommerville check
-builds no form of its own: it sweeps ``geometry.sommerville_residuals`` over
-one cache, which holds the one fill rule and the forms of that identity.
-Checks decide each row with ``_verdict``.  The form class lives in
-``simcurv.geometry``.
+builds no form of its own: it fills one cache with the pairs of every top
+simplex in one batch, then sweeps ``geometry.sommerville_residuals``, which
+holds the forms of that identity, over it.  The form class lives in
+``simcurv.geometry``.  A value is exact when its standard error is 0, and
+every verdict is ``_verdict(residual, std_error, z)``.  Gauss-Bonnet judges
+only its total; its rows are the ascending curvatures, as ``curvature``
+prints them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from simcurv.geometry import (
     EmbeddedComplex,
     _AngleForm,
     _require_cache,
+    _sommerville_pairs,
     sommerville_residuals,
 )
 from simcurv.sequences import angle_defect_term
@@ -245,9 +249,10 @@ def cone_vertex_curvature_factor(link_f_vector: Iterable[int]) -> Fraction:
 
 @dataclass
 class TheoremReport:
-    """Outcome of one verification: aggregate verdict plus per-row detail.
+    """Outcome of one verification: a verdict from ``_verdict`` plus per-row
+    detail, each row with its own verdict except the Gauss-Bonnet curvatures.
 
-    ``abs_tol`` is the tolerance every verdict applies to exact residuals."""
+    ``abs_tol`` is the tolerance ``_verdict`` applies to exact residuals."""
 
     name: str
     passed: bool
@@ -272,20 +277,17 @@ def _require_z(z: float) -> None:
         raise ValueError(f"z must be a positive finite number, got {z}")
 
 
-def _verdict(residual: float, std_error: float, exact: bool, z: float) -> bool:
-    if exact or std_error == 0.0:
-        return abs(residual) <= DEFAULT_ABS_TOL
-    return abs(residual) <= z * std_error
+def _verdict(residual: float, std_error: float, z: float) -> bool:
+    """Exact (standard error 0): within ``DEFAULT_ABS_TOL``; else within z sigma."""
+    return abs(residual) <= (z * std_error if std_error else DEFAULT_ABS_TOL)
 
 
-def _row(simplex: Simplex, cv: CurvatureValue, z: float):
+def _row(simplex: Simplex, cv: CurvatureValue) -> dict:
     return {
         "simplex": list(simplex),
         "value": cv.value,
         "std_error": cv.std_error,
         "exact": cv.exact,
-        "residual": cv.value,
-        "pass": _verdict(cv.value, cv.std_error, cv.exact, z),
     }
 
 
@@ -310,10 +312,10 @@ def gauss_bonnet_check(
         total.add(form, (-1) ** (len(tau) - 1))
     values = _evaluate(_require_cache(embedded, cfg, cache), {**forms, "total": total})
     lhs = values.pop("total")
-    rows = [_row(tau, cv, z) for tau, cv in values.items()]
+    rows = [_row(tau, cv) for tau, cv in values.items()]
     rhs = stratified_euler_characteristic(complex, assignment)
     residual = lhs.value - float(rhs)
-    passed = _verdict(residual, lhs.std_error, lhs.exact, z)
+    passed = _verdict(residual, lhs.std_error, z)
     return TheoremReport(
         name="gauss-bonnet",
         passed=passed,
@@ -377,7 +379,7 @@ def vanishing_check(
     exact_failures = 0
     for tau, cv in _evaluate(_require_cache(embedded, cfg, cache), forms).items():
         p = len(tau) - 1
-        row = _row(tau, cv, z)
+        row = {**_row(tau, cv), "residual": cv.value, "pass": _verdict(cv.value, cv.std_error, z)}
         analytic_zero = p % 2 == 1 or p >= complex.dim - 1
         row["analytic_zero"] = analytic_zero
         if analytic_zero and not (cv.exact and cv.value == 0.0):
@@ -436,8 +438,7 @@ def subdivision_relation_check(
         right = base_values[zeta]
         residual = float(a_p) * left.value - float(a_s) * right.value
         std_error = math.hypot(float(a_p) * left.std_error, float(a_s) * right.std_error)
-        exact = left.exact and right.exact
-        ok = _verdict(residual, std_error, exact, z)
+        ok = _verdict(residual, std_error, z)
         row = {
             "simplex": list(tau),
             "carrier": list(zeta),
@@ -445,14 +446,14 @@ def subdivision_relation_check(
             "rhs": float(a_s) * right.value,
             "residual": residual,
             "std_error": std_error,
-            "exact": exact,
+            "exact": left.exact and right.exact,
             "pass": ok,
         }
         if s == p:
             eq_residual = left.value - right.value
             eq_std = math.hypot(left.std_error, right.std_error)
             row["equal_residual"] = eq_residual
-            row["pass"] = ok and _verdict(eq_residual, eq_std, exact, z)
+            row["pass"] = ok and _verdict(eq_residual, eq_std, z)
         rows.append(row)
     passed = all(r["pass"] for r in rows)
     worst = max(rows, key=lambda r: abs(r["residual"]))
@@ -482,6 +483,8 @@ def sommerville_check(
     if n % 2 == 0 or n < 3:
         raise ValueError(f"sommerville check needs an odd dimension >= 3, got {n}")
     book = AngleCache(embedded, cfg)
+    # one parallel fill of every top simplex's pairs; the sweep then reuses them
+    book.fill(pair for sigma in complex.simplices(n) for pair in _sommerville_pairs(sigma))
     rows = []
     for sigma in complex.simplices(n):
         for p in range(0, n - 1, 2):
@@ -489,9 +492,8 @@ def sommerville_check(
                 row = sommerville_residuals(sigma, tau, embedded, cache=book)
                 del row["defect_lhs"], row["defect_rhs"]
                 row["sigma"], row["tau"] = list(sigma), list(tau)
-                # _verdict reads a zero standard error as an exact residual
                 row["pass"] = all(
-                    _verdict(row[f"{form}_residual"], row[f"{form}_std_error"], False, z)
+                    _verdict(row[f"{form}_residual"], row[f"{form}_std_error"], z)
                     for form in ("alternating", "defect")
                 )
                 rows.append(row)

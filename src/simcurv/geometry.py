@@ -30,11 +30,12 @@ count, started on first use and kept, so a fill of a few Monte Carlo pairs
 pays no thread start-up.  A fork hook forgets the pools in the child, which
 has none of its parent's threads.  Every caller fills before it evaluates,
 ``sommerville_residuals`` included: it fills, in one batch, the pairs of
-every Sommerville form on its simplex, so the Monte Carlo angles of a sweep
-over one simplex's faces (4 per tetrahedron, 41 per 5-simplex) run as one
-parallel fill.  That is the one fill rule for Sommerville's identity:
-``simcurv.curvature.sommerville_check`` is a sweep of these calls over one
-cache.
+every Sommerville form on its simplex (``_sommerville_pairs``), so the Monte
+Carlo angles of a sweep over one simplex's faces (4 per tetrahedron, 41 per
+5-simplex) run as one parallel fill.  That is the one fill rule for
+Sommerville's identity: ``simcurv.curvature.sommerville_check`` fills the
+pairs of every top simplex by it in one batch, then sweeps these calls over
+that cache.
 
 Monte Carlo streams are counter-based: each (seed, face index, top index,
 block index) tuple keys an independent SFC64 stream through a
@@ -444,13 +445,15 @@ def _require_cache(
 
 @dataclass(frozen=True)
 class CurvatureValue:
+    """A combination of angles and its propagated standard error; it is exact
+    when that is 0, which no Monte Carlo angle's (>= 1 / N) allows."""
+
     value: float
     std_error: float
-    exact: bool
 
-    def __post_init__(self):
-        if self.exact and self.std_error != 0.0:
-            raise ValueError("exact values carry no standard error")
+    @property
+    def exact(self) -> bool:
+        return self.std_error == 0.0
 
 
 @dataclass
@@ -515,7 +518,6 @@ class _AngleForm:
         """
         float_part = 0.0
         variance = 0.0
-        exact = True
         den = self.den
         values = cache._values  # form keys are canonical, like the cache's
         for pair, c in self.coeffs.items():
@@ -523,11 +525,7 @@ class _AngleForm:
             weight = c / den
             float_part += weight * angle.value
             variance += (weight * angle.std_error) ** 2
-            if angle.method != "exact":
-                exact = False
-        return CurvatureValue(
-            self.const / den + float_part, math.sqrt(variance), exact and variance == 0.0
-        )
+        return CurvatureValue(self.const / den + float_part, math.sqrt(variance))
 
 
 def top_angle_pairs(complex: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
@@ -569,6 +567,12 @@ def _sommerville_forms(sigma: Simplex, tau: Simplex) -> tuple[_AngleForm, _Angle
     return alternating, defect
 
 
+def _sommerville_pairs(sigma: Simplex) -> list[tuple[Simplex, Simplex]]:
+    """Every pair a Sommerville form on sigma uses: (eta, sigma) for each face
+    eta of codimension >= 2."""
+    return [(eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k)]
+
+
 def sommerville_residuals(
     sigma: Simplex,
     tau: Simplex,
@@ -598,7 +602,7 @@ def sommerville_residuals(
     tau = as_simplex(tau)
     alternating, defect = _sommerville_forms(sigma, tau)
     book = _require_cache(embedded, cfg, cache)
-    book.fill((eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k))
+    book.fill(_sommerville_pairs(sigma))
     alt = alternating.evaluate(book)
     dev = defect.evaluate(book)
     rhs_defect = Fraction(-defect.const, defect.den)

@@ -467,7 +467,9 @@ def test_non_positive_threads_exit_2(capsys, sphere3_file, threads):
 
 
 @pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
-@pytest.mark.parametrize("command", [["verify", "vanishing"], ["verify", "sommerville"], ["curvature"]])
+@pytest.mark.parametrize(
+    "command", [["verify", "vanishing"], ["verify", "sommerville"], ["verify", "gauss-bonnet"]]
+)
 def test_bad_z_threshold_exits_2(capsys, sphere3_file, command, z):
     # -1, 0 and nan used to fail every Monte Carlo row (exit 1); inf passed every one
     code, out, err = run_cli(
@@ -476,6 +478,17 @@ def test_bad_z_threshold_exits_2(capsys, sphere3_file, command, z):
     assert code == 2
     assert out == ""
     assert f"--z-threshold must be a positive finite number, got {float(z)}" in err
+
+
+@pytest.mark.parametrize("command", ["angles", "curvature"])
+def test_z_threshold_is_a_verify_option_only(capsys, sphere3_file, command):
+    # neither command decides a verdict, so neither takes a threshold
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, sphere3_file, "--samples", "1000", "--z-threshold", "4"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --z-threshold 4" in captured.err
 
 
 @pytest.mark.parametrize("bad_id", [1.7, True, "1"])

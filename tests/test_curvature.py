@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ from simcurv.curvature import (
     _ascending_form,
     _defect_form,
     _stratified_form,
+    _verdict,
     ascending_stratified_curvature,
     carrier_alternating_sum,
     carrier_alternating_sum_check,
@@ -30,6 +32,7 @@ from simcurv.generators import boundary_of_simplex, random_simplex, solid_simple
 from simcurv.geometry import (
     AngleCache,
     AngleConfig,
+    CurvatureValue,
     EmbeddedComplex,
     _AngleForm,
     _sommerville_forms,
@@ -164,6 +167,31 @@ def test_gauss_bonnet_negative_control(sphere3, sphere3_cache):
     )
     assert not report.passed
     assert abs(report.summary["residual"]) > 100 * report.summary["lhs_std_error"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gauss_bonnet_rows_are_the_ascending_curvatures(n):
+    # the verdict is on the total alone; a row is a curvature, not a residual
+    embedded = boundary_of_simplex(n)
+    cfg = AngleConfig(samples=20_000, seed=5, threads=1)
+    report = gauss_bonnet_check(embedded, cfg=cfg)
+    table = curvature_table(embedded, "ascending", cfg=cfg)
+    assert len(report.rows) == len(table)
+    for row, (simplex, cv) in zip(report.rows, table):
+        assert set(row) == {"simplex", "value", "std_error", "exact"}
+        assert row == {
+            "simplex": list(simplex), "value": cv.value, "std_error": cv.std_error, "exact": cv.exact
+        }
+        assert row["exact"] == (row["std_error"] == 0.0)
+    # the 2-sphere's angles are all exact; the 3-sphere's vertex angles are not
+    assert all(row["exact"] for row in report.rows) == (n == 3)
+
+
+def test_one_verdict_rule_reads_exactness_from_the_standard_error():
+    assert [field.name for field in dataclasses.fields(CurvatureValue)] == ["value", "std_error"]
+    assert CurvatureValue(0.25, 0.0).exact and not CurvatureValue(0.25, 1e-6).exact
+    assert _verdict(1e-10, 0.0, 4.0) and not _verdict(2e-9, 0.0, 4.0)
+    assert _verdict(0.4, 0.1, 4.0) and not _verdict(0.41, 0.1, 4.0)
 
 
 def test_vanishing_hypothesis(sphere3, join_sphere3, book):

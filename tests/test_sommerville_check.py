@@ -41,6 +41,22 @@ def test_check_rows_match_per_pair_residuals(embedded, seed, expected_pairs):
     assert report.passed == all(r["pass"] for r in report.rows)
 
 
+def test_check_fills_every_monte_carlo_angle_in_one_batch(monkeypatch):
+    # cross_polytope(4): 16 tetrahedra, each with 4 vertex angles of codimension 3
+    added = []
+    fill = AngleCache.fill
+
+    def recording_fill(self, pairs):
+        before = set(self._values)
+        fill(self, pairs)
+        new = self._values.keys() - before
+        added.append(sum(self._values[pair].method == "monte_carlo" for pair in new))
+
+    monkeypatch.setattr(AngleCache, "fill", recording_fill)
+    sommerville_check(cross_polytope(4), AngleConfig(samples=1000, seed=0, threads=2))
+    assert [count for count in added if count] == [64]
+
+
 def test_check_rejects_even_dimension():
     with pytest.raises(ValueError, match="odd"):
         sommerville_check(boundary_of_simplex(3), AngleConfig(samples=1000))
