@@ -304,6 +304,10 @@ def _cmd_verify(args) -> int:
     z = args.z_threshold
     if not (math.isfinite(z) and z > 0):
         raise _CliError(f"--z-threshold must be a positive finite number, got {z}")
+    if args.check != "subdivision":
+        for flag in ("base", "carrier"):
+            if getattr(args, flag) is not None:
+                raise _CliError(f"--{flag} is an option of verify subdivision only")
     cfg = _angle_config(args)
     if args.check == "gauss-bonnet":
         embedded, assignment = _read_stratified(args.complex)

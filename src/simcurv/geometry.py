@@ -605,14 +605,12 @@ def sommerville_residuals(
     book.fill(_sommerville_pairs(sigma))
     alt = alternating.evaluate(book)
     dev = defect.evaluate(book)
-    rhs_defect = Fraction(-defect.const, defect.den)
     return {
         "sigma": sigma,
         "tau": tau,
         "alternating_residual": alt.value,
         "alternating_std_error": alt.std_error,
-        "defect_lhs": dev.value + float(rhs_defect),
-        "defect_rhs": rhs_defect,
+        "defect_rhs": Fraction(-defect.const, defect.den),
         "defect_residual": dev.value,
         "defect_std_error": dev.std_error,
     }

@@ -7,9 +7,9 @@ tiered and every answer carries its tier:
                    exclusions, and for codimension-two simplices a
                    one-dimensional link that is the suspension of the
                    candidate's r points);
-* ``heuristic``  - Euler characteristic plus local coface conditions match
-                   an iterated suspension of r points, which is necessary
-                   but not sufficient;
+* ``heuristic``  - the link's Euler characteristic matches an iterated
+                   suspension of the candidate's r points, which is
+                   necessary but not sufficient;
 * ``fallback``   - no candidate survived; the catch-all stratum r = 2 is
                    assigned and a warning is recorded;
 * ``override``   - supplied by the caller.
@@ -157,17 +157,12 @@ def _classify_low_simplex(
             return StratumInfo(r0, "exact")
         return _fallback(simplex, r0, warnings)
 
-    # p < n - 2: necessary conditions only
-    target_chi = suspension_euler_characteristic(r0, n - 1 - p)
-    if link.euler_characteristic() != target_chi:
+    # p < n - 2: the Euler characteristic is necessary, not sufficient.  A
+    # ridge rho of the link lies in as many link tops as rho + simplex has
+    # top cofaces, so the link's ridge counts are the candidates' counts,
+    # all 2 or r0 by now, and need no second test.
+    if link.euler_characteristic() != suspension_euler_characteristic(r0, n - 1 - p):
         return _fallback(simplex, r0, warnings)
-    top = n - p - 1
-    for ridge in link.simplices(top - 1):
-        count = sum(
-            1 for s in link.simplices(top) if set(ridge) <= set(s)
-        )
-        if count not in (2, r0):
-            return _fallback(simplex, r0, warnings)
     return StratumInfo(r0, "heuristic")
 
 

@@ -491,6 +491,21 @@ def test_z_threshold_is_a_verify_option_only(capsys, sphere3_file, command):
     assert "unrecognized arguments: --z-threshold 4" in captured.err
 
 
+@pytest.mark.parametrize("option", ["--base", "--carrier"])
+@pytest.mark.parametrize("check", ["gauss-bonnet", "vanishing", "sommerville"])
+def test_base_and_carrier_are_verify_subdivision_options_only(
+    capsys, tmp_path, sphere3_file, check, option
+):
+    # the file is never read, so a missing one shows the option was refused
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(
+        capsys, "verify", check, sphere3_file, "--samples", "1000", option, str(missing)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} is an option of verify subdivision only\n"
+
+
 @pytest.mark.parametrize("bad_id", [1.7, True, "1"])
 def test_non_integer_vertex_id_exits_2(capsys, tmp_path, bad_id):
     # int() used to read [0, 1.7, 2] as the triangle [0, 1, 2]

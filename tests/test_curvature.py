@@ -203,6 +203,22 @@ def test_vanishing_hypothesis(sphere3, join_sphere3, book):
         vanishing_hypothesis_check(boundary_of_simplex(3).complex)  # even dim
 
 
+@pytest.mark.parametrize("subdivisions", [0, 1])
+def test_vanishing_hypothesis_flags_each_simplex_once(book, subdivisions):
+    for _ in range(subdivisions):
+        book = barycentric_subdivide(book).refined
+    complex = book.complex
+    n = complex.dim
+    holds, violations = vanishing_hypothesis_check(complex)
+    flagged = [tuple(v["simplex"]) for v in violations]
+    assert not holds and len(flagged) == len(set(flagged))
+    assert {v["kind"] for v in violations} == {"link_euler"}
+    # the link of an (n-1)-simplex is its top cofaces, so chi is their count
+    counts = {eta: len(complex.top_cofaces(eta)) for eta in complex.simplices(n - 1)}
+    ridges = {tuple(v["simplex"]): v["value"] for v in violations if len(v["simplex"]) == n}
+    assert ridges == {eta: count for eta, count in counts.items() if count != 2}
+
+
 def test_vanishing_check(sphere3, join_sphere3, book, sphere3_cache):
     report = vanishing_check(sphere3, cfg=CFG, cache=sphere3_cache)
     assert report.passed
@@ -222,6 +238,19 @@ def test_subdivision_relation_surface(sphere2):
         assert report.passed
         # a surface has exact angle paths everywhere
         assert all(row["exact"] for row in report.rows)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_subdivision_rows_are_exact_by_the_one_rule_without_negative_zeros(dim):
+    top = tuple(range(dim + 1))
+    pair = stellar_subdivide(random_simplex(dim, seed=2), top)
+    report = subdivision_relation_check(pair, cfg=AngleConfig(samples=2000, seed=9))
+    assert report.passed
+    for row in report.rows:
+        assert row["exact"] == (row["std_error"] == 0.0)
+        for value in row.values():
+            if isinstance(value, float):
+                assert math.copysign(1.0, value) > 0 or value != 0.0, row
 
 
 def test_subdivision_relation_sphere3(sphere3):

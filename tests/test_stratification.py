@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -230,3 +231,42 @@ def test_theta_degrees_with_a_loop_fall_back():
     assignment = stratify(SimplicialComplex([(0, a, b) for a, b in link]))
     assert assignment.r((0,)) == 2 and assignment.tier((0,)) == "fallback"
     assert any("(0,)" in w and "candidate stratum 3" in w for w in assignment.warnings)
+
+
+# -- links of dimension two and up -------------------------------------------
+
+
+def _random_complex(seed):
+    """Random n-simplices on n + 2 to n + 5 vertices, n in 3..5, glued to the
+    boundary of an (n + 1)-simplex for odd seeds, and sometimes with one
+    lower-dimensional maximal simplex."""
+    rng = random.Random(seed)
+    n = 3 + seed % 3
+    m = rng.randint(n + 2, n + 5)
+    subsets = list(combinations(range(m), n + 1))
+    tops = rng.sample(subsets, rng.randint(1, min(len(subsets), 3 * n)))
+    if seed % 2:
+        tops += combinations(range(n + 2), n + 1)
+    if rng.random() < 0.3:
+        tops.append(tuple(sorted(rng.sample(range(m), rng.randint(1, n)))))
+    return SimplicialComplex(tops)
+
+
+def test_heuristic_tier_is_the_link_euler_characteristic_test():
+    heuristic = []
+    for seed in range(60):
+        complex = _random_complex(seed)
+        n = complex.dim
+        for simplex, info in stratify(complex).info.items():
+            if info.tier != "heuristic":
+                continue
+            heuristic.append(info.r)
+            p = len(simplex) - 1
+            chi = complex.link(simplex).euler_characteristic()
+            assert chi == suspension_euler_characteristic(info.r, n - 1 - p), simplex
+            # the link's ridge counts are these top-coface counts, so they
+            # need no test of their own
+            for gamma in complex.star(simplex):
+                if len(gamma) == n:
+                    assert len(complex.top_cofaces(gamma)) in (2, info.r), (simplex, gamma)
+    assert len(heuristic) > 1000 and set(heuristic) == {1, 3}
