@@ -250,7 +250,7 @@ def test_subdivision_rows_are_exact_by_the_one_rule_without_negative_zeros(dim):
         assert row["exact"] == (row["std_error"] == 0.0)
         for value in row.values():
             if isinstance(value, float):
-                assert math.copysign(1.0, value) > 0 or value != 0.0, row
+                assert value != 0.0 or math.copysign(1.0, value) == 1.0, row
 
 
 def test_subdivision_relation_sphere3(sphere3):
