@@ -3,8 +3,9 @@
 The package computes exact combinatorial data (Bernoulli numbers, the angle
 defect weight sequence, stratification ranks, stratified Euler
 characteristics) alongside numerical solid angles (closed-form up to
-codimension 2, Monte Carlo above), and verifies Gauss-Bonnet style
-identities with propagated statistical error.
+codimension 2, quadrature at codimension 4 and 5, Monte Carlo at
+codimension 3 and above 5), and verifies Gauss-Bonnet style identities with
+propagated statistical error.
 """
 
 from simcurv.sequences import (
@@ -53,7 +54,6 @@ from simcurv.curvature import (
 from simcurv.subdivision import (
     SubdivisionPair,
     barycentric_subdivide,
-    carrier_lookup,
     stellar_subdivide,
 )
 
@@ -84,7 +84,6 @@ __all__ = [
     "binomial",
     "carrier_alternating_sum",
     "carrier_alternating_sum_check",
-    "carrier_lookup",
     "cone_vertex_curvature_factor",
     "convex_hull_boundary",
     "curvature_table",

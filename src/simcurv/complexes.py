@@ -153,15 +153,6 @@ class SimplicialComplex:
         self._require(eta)
         return self._top_cofaces[eta]
 
-    def coface_count(self, eta: Simplex) -> int:
-        """Number of top-dimensional simplices over a codimension-one simplex."""
-        self._require(eta)
-        if len(eta) - 1 != self.dim - 1:
-            raise ValueError(
-                f"coface_count expects a ({self.dim - 1})-simplex, got {eta}"
-            )
-        return len(self._top_cofaces[eta])
-
     # -- global predicates ---------------------------------------------------
 
     def is_two_pseudomanifold(self) -> bool:

@@ -9,19 +9,29 @@ intrinsically in the affine hull of the simplex:
 * codimension 2 -> planar wedge angle / 2 pi via atan2 of the cross and
   dot products of the two edge directions (noise-free, exact for thin
   wedges too, reported as exact);
-* codimension >= 3 -> Monte Carlo: project the opposite vertices onto the
-  orthogonal complement of the face, then count isotropic Gaussian
-  directions falling inside the resulting simplicial cone C.  Each drawn
-  direction z is tested twice, as z in C and as z in -C (antithetic pairs;
+* codimension 4 and 5 -> quadrature: the angle is the orthant probability
+  P(m >= 0) for m ~ N(0, R), R the correlation matrix of the cone's
+  dual basis.  Plackett's reduction (Biometrika 41:351, 1954) along
+  R(t) = I + t (R - I) makes it 2^-c plus a one-dimensional integral of
+  arcsine closed forms, which nested tanh-sinh levels evaluate for a whole
+  stack of pairs at once.  Such an angle has method ``quadrature``, no
+  standard error, and an ``abs_error`` bound of at most 1e-12 (quadrature
+  and rounding); a pair whose bound is larger, a nearly degenerate cone,
+  is estimated by Monte Carlo instead;
+* codimension 3 and codimension >= 6 -> Monte Carlo: project the opposite
+  vertices onto the orthogonal complement of the face, then count isotropic
+  Gaussian directions falling inside the resulting simplicial cone C.  Each
+  drawn direction z is tested twice, as z in C and as z in -C (antithetic pairs;
   C and -C are disjoint and have equal Gaussian measure), so N cone tests
   cost N / 2 Gaussian vectors.  With p the angle, each vector contributes a
   Bernoulli(2p) count, and the standard error of the estimate hits / N is
   sqrt(p (1 - 2p) / N), below the one-sided sqrt(p (1 - p) / N), with a
   floor of 1 / N.
 
-Closed forms are computed in stacks.  ``AngleCache.fill`` groups the pairs
-it is given by codimension and face size; each group gets its barycenters,
-face bases and cone bases from one stacked SVD and matmul, with the same
+Closed forms and quadratures are computed in stacks.  ``AngleCache.fill``
+groups the pairs it is given by codimension and face size; each group gets
+its barycenters, face bases and cone bases from one stacked SVD and matmul,
+and its quadrature from one (pairs x nodes) array per level, with the same
 checks and the same bits as one pair at a time, and ``solid_angle`` runs a
 stack of one.  Only Monte Carlo pairs go to the thread pool.
 
@@ -31,7 +41,7 @@ pays no thread start-up.  A fork hook forgets the pools in the child, which
 has none of its parent's threads.  Every caller fills before it evaluates,
 ``sommerville_residuals`` included: it fills, in one batch, the pairs of
 every Sommerville form on its simplex (``_sommerville_pairs``), so the Monte
-Carlo angles of a sweep over one simplex's faces (4 per tetrahedron, 41 per
+Carlo angles of a sweep over one simplex's faces (4 per tetrahedron, 20 per
 5-simplex) run as one parallel fill.  That is the one fill rule for
 Sommerville's identity: ``simcurv.curvature.sommerville_check`` fills the
 pairs of every top simplex by it in one batch, then sweeps these calls over
@@ -121,18 +131,21 @@ class AngleValue:
     Exact angles (method ``exact``, no standard error) are the constants 1
     and 1/2 at codimension 0 and 1 and the wedge angles at codimension 2;
     forms never hold the constants, which they fold into their constant.
+    Quadrature angles (codimension 4 and 5) have no standard error either;
+    ``abs_error``, at most 1e-12, bounds their quadrature and rounding error.
     """
 
     value: float
     std_error: float
-    method: str  # "exact" | "monte_carlo"
+    method: str  # "exact" | "quadrature" | "monte_carlo"
     samples: int = 0
+    abs_error: float = 0.0  # a bound on |value - angle| of a quadrature angle
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"angle {self.value} outside [0, 1]")
-        if (self.std_error == 0.0) != (self.method == "exact"):
-            raise ValueError("std_error must be zero exactly for exact angles")
+        if (self.std_error == 0.0) == (self.method == "monte_carlo"):
+            raise ValueError("std_error must be zero exactly for exact and quadrature angles")
 
 
 class EmbeddedComplex:
@@ -310,21 +323,162 @@ def _wedge_angles(generators: np.ndarray) -> list[AngleValue]:
     return values
 
 
-# The closed forms, keyed by codimension: each maps a (k, c, c) stack of cone
-# generators to k angles.  A simplex along itself has the angle 1 and along a
-# facet 1/2.  Every other codimension is estimated by Monte Carlo.
+# Tanh-sinh nodes on [0, 1] (Takahasi & Mori, Publ. RIMS 9:721, 1974):
+# t = 1 / (1 + exp(-pi sinh u)), with weight dt/du = pi cosh u / (2 + 2 cosh(pi
+# sinh u)).  Level 0 steps u by 1/8 over |u| <= 3.5, where the weights fall
+# below 1e-21; each later level halves the step and holds only its new, odd
+# nodes, so the sum over levels 0..L is the rule at step 2^-(L+3).
+def _tanh_sinh_levels() -> list[tuple[float, np.ndarray, np.ndarray]]:
+    table = []
+    for level in range(5):
+        h = 0.125 / 2**level
+        k = np.arange(-math.floor(3.5 / h), math.floor(3.5 / h) + 1)
+        u = (k[k % 2 == 1] if level else k) * h
+        x = math.pi * np.sinh(u)
+        table.append((h, 1.0 / (1.0 + np.exp(-x)), math.pi * np.cosh(u) / (2.0 + 2.0 * np.cosh(x))))
+    return table
+
+
+_TANH_SINH = _tanh_sinh_levels()
+# a row is refined until its last two levels differ by at most _QUAD_TOL; an
+# angle whose error bound exceeds _QUAD_MAX_ERROR goes to Monte Carlo
+_QUAD_TOL = 1e-13
+_QUAD_MAX_ERROR = 1e-12
+# matrices per quadrature array: a (rows, pairs, c - 2, nodes) array stays
+# under 7 MB at c = 5 on the finest level
+_QUAD_CHUNK_ROWS = 64
+
+
+def _plackett_plan(c: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of Plackett's sum at dimension c: the pairs i < j, the
+    other c - 2 indices of each pair, and the pairs among those."""
+    pairs = list(combinations(range(c), 2))
+    rest = [[k for k in range(c) if k not in pair] for pair in pairs]
+    inner = list(combinations(range(c - 2), 2))
+    return (
+        np.array([i for i, _ in pairs]),
+        np.array([j for _, j in pairs]),
+        np.array(rest),
+        np.array([a for a, _ in inner]),
+        np.array([b for _, b in inner]),
+    )
+
+
+_PLACKETT_PLANS = {c: _plackett_plan(c) for c in (4, 5)}
+
+
+def _plackett_rate(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """dP/dt at the nodes ``t`` for each matrix of a (k, c, c) stack of
+    correlation matrices R, c = 4 or 5, where P(t) is the orthant probability
+    of R(t) = I + t (R - I).  By Plackett's reduction (Biometrika 41:351,
+    1954) dP/dt is the sum over i < j of rho_ij phi_2(0, 0; t rho_ij) times
+    the orthant probability of the other c - 2 variables given X_i = X_j = 0,
+    a closed form in arcsines for c - 2 = 2 or 3.  Returns a (k, nodes) array.
+    Only the upper triangle of R is read, so R is symmetric by construction.
+    """
+    i, j, rest, first, second = _PLACKETT_PLANS[rho.shape[1]]
+
+    def entry(a, b):
+        return rho[:, np.minimum(a, b), np.maximum(a, b)]
+
+    rho_ij = entry(i, j)  # (k, pairs)
+    rho_ki = entry(rest, i[:, None])  # (k, pairs, c - 2)
+    rho_kj = entry(rest, j[:, None])
+    rho_kl = entry(rest[:, first], rest[:, second])  # (k, pairs, inner pairs)
+    r = rho_ij[..., None] * t  # (k, pairs, nodes)
+    det = 1.0 - r * r
+    # The 2x2 Schur complement written out: given X_i = X_j = 0, X_k and X_l
+    # have covariance t rho_kl - t^2 x_k^T A^-1 x_l with x_k = (rho_ki, rho_kj)
+    # and A = [[1, r], [r, 1]], whose inverse is [[1, -r], [-r, 1]] / det.
+    q = (t * t / det)[:, :, None, :]
+    r = r[:, :, None, :]
+    var = 1.0 - q * ((rho_ki * rho_ki + rho_kj * rho_kj)[..., None] - r * (2.0 * rho_ki * rho_kj)[..., None])
+    a = rho_ki[..., first] * rho_ki[..., second] + rho_kj[..., first] * rho_kj[..., second]
+    b = rho_ki[..., first] * rho_kj[..., second] + rho_kj[..., first] * rho_ki[..., second]
+    cov = rho_kl[..., None] * t - q * (a[..., None] - r * b[..., None])
+    corr = np.clip(cov / np.sqrt(var[:, :, first] * var[:, :, second]), -1.0, 1.0)
+    # P_2 = 1/4 + asin(rho) / (2 pi); P_3 = 1/8 + (sum of 3 arcsines) / (4 pi)
+    m = rest.shape[1]
+    conditional = 2.0**-m + np.arcsin(corr).sum(axis=2) / (2.0 ** (m - 1) * math.pi)
+    return (rho_ij[..., None] / (2.0 * math.pi * np.sqrt(det)) * conditional).sum(axis=1)
+
+
+def _orthant_quadrature(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthant probabilities P(X >= 0), X ~ N(0, R), of a (k, c, c) stack of
+    correlation matrices at c = 4 or 5: 2^-c plus the integral of
+    ``_plackett_rate`` over [0, 1] by nested tanh-sinh levels.  Returns the
+    values and the difference of each row's last two levels; only rows whose
+    levels still differ by more than ``_QUAD_TOL`` get the next level.
+    """
+    k, c, _ = rho.shape
+    sums = np.zeros(k)
+    values = np.zeros(k)
+    errors = np.zeros(k)
+    active = np.arange(k)
+    for h, t, w in _TANH_SINH:
+        sums[active] += (_plackett_rate(rho[active], t) * w).sum(axis=1)
+        estimate = h * sums[active]
+        # on level 0 this is the integral itself, which is a bound when the
+        # integrand is so small that it stops there
+        errors[active] = np.abs(estimate - values[active])
+        values[active] = estimate
+        active = active[errors[active] > _QUAD_TOL]
+        if not active.size:
+            break
+    return 2.0**-c + values, errors
+
+
+def _quadrature_angles(generators: np.ndarray) -> list[AngleValue | None]:
+    """Angles of a (k, c, c) stack of cone generators at c = 4 or 5 as
+    orthant probabilities: P(m >= 0) for m ~ N(0, R), R the correlation
+    matrix of the columns of ``solve_t``, the matrix the Monte Carlo count
+    tests samples against.
+
+    Each angle's ``abs_error`` is the difference of its last two quadrature
+    levels plus eps cond(R), a bound on what rounding R and the integrand
+    costs; a pair whose bound exceeds ``_QUAD_MAX_ERROR`` gets None, and so
+    its Monte Carlo estimate.
+    """
+    try:
+        solve_t = np.linalg.inv(generators.swapaxes(1, 2)).swapaxes(1, 2)
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError("singular cone generators") from exc
+    covariance = solve_t.swapaxes(1, 2) @ solve_t
+    scale = 1.0 / np.sqrt(np.diagonal(covariance, axis1=1, axis2=2))
+    rho = covariance * scale[:, :, None] * scale[:, None, :]
+    rounding = np.finfo(float).eps * np.linalg.cond(rho)
+    angles: list[AngleValue | None] = [None] * len(generators)
+    rows = np.flatnonzero(rounding <= _QUAD_MAX_ERROR)
+    for start in range(0, rows.size, _QUAD_CHUNK_ROWS):
+        chunk = rows[start : start + _QUAD_CHUNK_ROWS]
+        values, errors = _orthant_quadrature(rho[chunk])
+        for row, value, bound in zip(chunk.tolist(), values.tolist(), (errors + rounding[chunk]).tolist()):
+            if bound <= _QUAD_MAX_ERROR:
+                angles[row] = AngleValue(min(max(value, 0.0), 1.0), 0.0, "quadrature", abs_error=bound)
+    return angles
+
+
+# The deterministic angles, keyed by codimension: each maps a (k, c, c) stack
+# of cone generators to k angles, None where a quadrature bound is too large.
+# A simplex along itself has the angle 1 and along a facet 1/2; codimension 2
+# is a wedge and 4 and 5 are quadratures.  Codimension 3 and codimensions 6
+# and up are estimated by Monte Carlo.
 _CLOSED_FORMS = {
     0: lambda generators: [AngleValue(1.0, 0.0, "exact")] * len(generators),
     1: lambda generators: [AngleValue(0.5, 0.0, "exact")] * len(generators),
     2: _wedge_angles,
+    4: _quadrature_angles,
+    5: _quadrature_angles,
 }
 
 
 def _closed_form_angles(
     pairs: Iterable[tuple[Simplex, Simplex]], embedded: EmbeddedComplex
 ) -> dict[tuple[Simplex, Simplex], AngleValue]:
-    """Exact angles of those canonical (face, simplex) pairs whose codimension
-    has a closed form; the other pairs are left out of the result.
+    """Deterministic angles of those canonical (face, simplex) pairs whose
+    codimension has a closed form or a quadrature; the other pairs, and
+    quadrature pairs whose error bound is too large, are left out of the
+    result.
 
     Pairs are grouped by codimension and face size, and each group's cone
     generators are computed as one stack, with every check that
@@ -337,7 +491,8 @@ def _closed_form_angles(
             groups.setdefault((c, len(eta)), []).append((eta, sigma))
     values = {}
     for (c, _), group in groups.items():
-        values.update(zip(group, _CLOSED_FORMS[c](_cone_generators(group, embedded))))
+        angles = _CLOSED_FORMS[c](_cone_generators(group, embedded))
+        values.update((pair, angle) for pair, angle in zip(group, angles) if angle is not None)
     return values
 
 

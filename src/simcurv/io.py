@@ -38,11 +38,12 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_number(entry: Any) -> float:
-    if isinstance(entry, str):
-        return float(Fraction(entry))
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return float(entry)
-    raise FileFormatError(f"expected a number or 'p/q' string, got {entry!r}")
+    if isinstance(entry, bool) or not isinstance(entry, (str, int, float)):
+        raise FileFormatError(f"expected a number or 'p/q' string, got {entry!r}")
+    try:
+        return float(Fraction(entry)) if isinstance(entry, str) else float(entry)
+    except (ZeroDivisionError, OverflowError) as exc:  # "1/0", "1e400", 10**400
+        raise FileFormatError(f"{entry!r} is not a finite number") from exc
 
 
 def _is_integer(entry: Any) -> bool:

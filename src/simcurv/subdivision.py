@@ -195,11 +195,3 @@ def barycentric_subdivide(embedded: EmbeddedComplex) -> SubdivisionPair:
     carrier = _union_carriers(refined_complex, dict(enumerate(order)))
     return SubdivisionPair(embedded, refined, carrier)
 
-
-def carrier_lookup(tau: Simplex, pair: SubdivisionPair) -> Simplex:
-    """The base simplex whose relative interior contains tau's barycenter."""
-    tau = as_simplex(tau)
-    try:
-        return pair.carrier[tau]
-    except KeyError as exc:
-        raise KeyError(f"{tau} is not a simplex of the refinement") from exc

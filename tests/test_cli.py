@@ -730,15 +730,21 @@ _TRIANGLE = {
             {"points": [[True, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]},
             "expected a number or 'p/q' string, got True",
         ),
+        ("info", {**_TRIANGLE, "vertices": [[0, 0], ["1/0", 0], [0, 1]]}, "'1/0' is not a finite number"),
+        ("info", {**_TRIANGLE, "vertices": [[0, 0], [1, 0], [0, "1e400"]]}, "'1e400' is not a finite number"),
+        ("hull", {"points": [[0, 0, 0], [1, 0, 0], [0, "1/0", 0], [0, 0, 1]]}, "'1/0' is not a finite number"),
+        ("hull", {"points": [["1e400", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "'1e400' is not a finite number"),
     ],
     ids=[
         "vertices", "vertex_row", "maximal_simplices", "rank_overrides", "points", "point_row",
-        "vertex_boolean", "point_boolean",
+        "vertex_boolean", "point_boolean", "vertex_zero_denominator", "vertex_overflow",
+        "point_zero_denominator", "point_overflow",
     ],
 )
 def test_malformed_shape_exits_2_with_one_error_line(capsys, tmp_path, command, payload, message):
-    # each used to end in a TypeError traceback and exit 1, except the
-    # booleans, which were read as the coordinates 0.0 and 1.0 (exit 0)
+    # each used to end in a traceback (TypeError, or ZeroDivisionError and
+    # OverflowError for "1/0" and "1e400") and exit 1, except the booleans,
+    # which were read as the coordinates 0.0 and 1.0 (exit 0)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, command, str(path))

@@ -146,16 +146,6 @@ def test_join_euler_formula():
             assert joined.euler_characteristic() == cl + cr - cl * cr
 
 
-def test_coface_count():
-    for eta in TET_BOUNDARY.simplices(1):
-        assert TET_BOUNDARY.coface_count(eta) == 2
-    assert book_complex().coface_count((0, 1, 2)) == 3
-    solid = SimplicialComplex([(0, 1, 2, 3)])
-    assert solid.coface_count((0, 1, 2)) == 1
-    with pytest.raises(ValueError):
-        TET_BOUNDARY.coface_count((0,))
-
-
 def test_is_two_pseudomanifold():
     assert SimplicialComplex(
         [tuple(v for v in range(5) if v != skip) for skip in range(5)]

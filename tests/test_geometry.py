@@ -235,9 +235,10 @@ def test_sommerville_residuals_without_a_cache_fill_every_pair_of_sigma(monkeypa
     computed = _record_solid_angles(monkeypatch)
     sommerville_residuals(sigma, tau, five, AngleConfig(samples=2000, seed=4, threads=2))
     # one fill rule: the private cache gets the pairs a caller's cache gets,
-    # and the Monte Carlo ones are the faces of codimension >= 3
-    faces = {(eta, sigma) for k in range(1, 4) for eta in combinations(sigma, k)}
-    assert len(computed) == len(faces) == 41  # 6 vertices, 15 edges and 20 triangles
+    # and the Monte Carlo ones are the faces of codimension 3 (vertices and
+    # edges, at codimension 5 and 4, are quadratures)
+    faces = {(eta, sigma) for eta in combinations(sigma, 3)}
+    assert len(computed) == len(faces) == 20  # 20 triangles
     assert set(computed) == faces
 
 
@@ -247,7 +248,7 @@ def test_sommerville_residuals_reuse_the_simplex_batch_for_another_tau(monkeypat
     cache = AngleCache(five, AngleConfig(samples=2000, seed=4, threads=2))
     computed = _record_solid_angles(monkeypatch)
     sommerville_residuals(sigma, (0, 2, 5), five, cache=cache)
-    assert len(computed) == 41  # 6 vertices, 15 edges and 20 triangles
+    assert len(computed) == 20  # 20 triangles; vertices and edges are quadratures
     computed.clear()
     sommerville_residuals(sigma, (1,), five, cache=cache)
     assert computed == []
@@ -381,7 +382,7 @@ def test_fill_matches_sequential_angles_across_codimensions(threads):
         value = cache._values[(eta, sigma)]
         assert value == reference.angle(eta, sigma)
         methods.add((len(sigma) - len(eta), value.method))
-    assert methods == {(1, "exact"), (2, "exact"), (3, "monte_carlo"), (4, "monte_carlo")}
+    assert methods == {(1, "exact"), (2, "exact"), (3, "monte_carlo"), (4, "quadrature")}
 
 
 @pytest.mark.parametrize("opening", [1e-8, 1e-4, 1.0, math.pi / 2, math.pi - 1e-8])

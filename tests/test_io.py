@@ -48,6 +48,10 @@ def test_fraction_formatting_roundtrip():
     assert cio.parse_number("-1/60") == -1.0 / 60.0
     with pytest.raises(cio.FileFormatError):
         cio.parse_number(None)
+    # each escaped as ZeroDivisionError or OverflowError
+    for entry in ("1/0", "1e400", 10**400):
+        with pytest.raises(cio.FileFormatError, match=f"{entry!r} is not a finite number"):
+            cio.parse_number(entry)
 
 
 def test_json_ready_handles_nested_fractions():

@@ -10,7 +10,6 @@ from simcurv.geometry import EmbeddedComplex, GeometryError
 from simcurv.subdivision import (
     SubdivisionPair,
     barycentric_subdivide,
-    carrier_lookup,
     compute_carriers,
     locate_point,
     locate_points,
@@ -82,8 +81,8 @@ def test_barycentric_top_count_factorial(sphere2, book):
 
 def test_carrier_of_unsubdivided_simplex(sphere2):
     pair = stellar_subdivide(sphere2, (0, 1, 2))
-    assert carrier_lookup((0, 1, 3), pair) == (0, 1, 3)
-    assert carrier_lookup((3,), pair) == (3,)
+    assert pair.carrier[(0, 1, 3)] == (0, 1, 3)
+    assert pair.carrier[(3,)] == (3,)
 
 
 def test_carrier_of_midedge_simplex():
@@ -106,12 +105,6 @@ def test_carrier_monotone_under_faces(sphere2, book):
 
                 for face in combinations(tau, k):
                     assert set(pair.carrier[face]) <= set(carrier)
-
-
-def test_carrier_lookup_unknown(sphere2):
-    pair = stellar_subdivide(sphere2, (0, 1, 2))
-    with pytest.raises(KeyError):
-        carrier_lookup((0, 1, 2), pair)  # subdivided away
 
 
 def test_geometric_fidelity(sphere2):
