@@ -1,7 +1,9 @@
+import json
 import math
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,8 @@ def test_angle_value_invariants():
         AngleValue(1.5, 0.0, "exact")
     with pytest.raises(ValueError):
         AngleValue(0.5, 0.1, "exact")
+    with pytest.raises(ValueError):
+        AngleValue(0.5, 0.1, "quadrature")
     with pytest.raises(ValueError):
         AngleValue(0.5, 0.0, "monte_carlo")
 
@@ -752,6 +756,108 @@ def _rotation(dim, seed):
     return q * np.sign(np.diag(r))
 
 
+# -- quadrature at codimension 4 and 5 ---------------------------------------
+
+ORTHANT_REFERENCES = json.loads((Path(__file__).parent / "data" / "orthant_references.json").read_text())
+
+
+def _cone_simplex(generators, apex=None) -> EmbeddedComplex:
+    """The simplex (apex, apex + g_1, ..., apex + g_c), whose angle at vertex
+    0 is the cone spanned by the rows g_i of ``generators``."""
+    g = np.asarray(generators, dtype=float)
+    apex = np.zeros(g.shape[1]) if apex is None else apex
+    coords = {0: apex, **{i + 1: apex + row for i, row in enumerate(g)}}
+    return EmbeddedComplex(SimplicialComplex([tuple(range(len(g) + 1))]), coords)
+
+
+def _apex_angle(generators, cfg=FAST) -> AngleValue:
+    return solid_angle((0,), tuple(range(len(generators) + 1)), _cone_simplex(generators), cfg)
+
+
+@pytest.mark.parametrize("cone", ORTHANT_REFERENCES["cones"], ids=lambda cone: cone["name"])
+def test_quadrature_holds_the_40_digit_references(cone):
+    """References from tests/make_orthant_references.py: each angle lies
+    within its abs_error of the 40-digit value, or, for a nearly collinear
+    cone whose bound exceeds 1e-12, comes from Monte Carlo."""
+    generators = cone["generators"]
+    cache = AngleCache(_cone_simplex(generators), FAST)
+    angle = cache.angle((0,), tuple(range(len(generators) + 1)))
+    if cone["s"] == 1e-6 or angle.method == "monte_carlo":
+        assert angle.method == "monte_carlo" and cone["kind"] == "near_collinear"
+        assert abs(angle.value - float(Fraction(cone["angle"]))) < 4 * angle.std_error
+        return
+    assert angle.method == "quadrature" and angle.std_error == 0.0
+    assert 0.0 < angle.abs_error <= 1e-12
+    assert abs(Fraction(angle.value) - Fraction(cone["angle"])) <= angle.abs_error
+
+
+@pytest.mark.parametrize("c", [4, 5])
+def test_quadrature_meets_equicorrelated_and_orthant_cones(c):
+    # the c + 1 cones from the centre of a regular c-simplex over its facets
+    # tile R^c, and their dual bases have correlation 1/2 throughout
+    facet = regular_simplex_points(c)[:c]
+    assert _apex_angle(facet).value == pytest.approx(1.0 / (c + 1), rel=0.0, abs=1e-12)
+    # orthogonal generators of any lengths span an orthant
+    rotation = _rotation(c, seed=c)
+    orthant = _apex_angle(rotation * np.arange(1.0, c + 1.0)[:, None])
+    assert orthant.method == "quadrature"
+    assert orthant.value == pytest.approx(2.0**-c, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [4, 5])
+def test_quadrature_of_an_orthogonal_product_is_the_product_of_closed_forms(c):
+    # g_1, g_2 span a plane and the rest its orthogonal complement, so the
+    # cone is a wedge times a 2- or 3-dimensional cone: P_2 P_2 or P_2 P_3
+    rng = np.random.default_rng(c)
+    generators = np.zeros((c, c))
+    generators[:2, :2] = rng.standard_normal((2, 2))
+    generators[2:, 2:] = rng.standard_normal((c - 2, c - 2))
+    generators = generators @ _rotation(c, seed=c + 10)
+
+    def wedge(u, v):
+        return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), u @ v) / (2.0 * math.pi)
+
+    w = generators @ _rotation(c, seed=c + 10).T  # back in block form
+    first = wedge(*w[:2, :2])
+    second = wedge(*w[2:, 2:]) if c == 4 else van_oosterom_strackee(*w[2:, 2:])
+    angle = _apex_angle(generators)
+    assert angle.method == "quadrature"
+    assert angle.value == pytest.approx(first * second, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, seed", [(4, 2), (5, 3)])
+def test_sign_flipped_cones_sum_to_one(dim, seed):
+    # the 2^c cones spanned by +-g_1, ..., +-g_c tile R^c
+    embedded = random_simplex(dim, seed=seed)
+    sigma = tuple(range(dim + 1))
+    generators = geometry.projected_cone_generators((0,), sigma, embedded)
+    signs = np.array(list(product([1.0, -1.0], repeat=dim)))
+    angles = geometry._quadrature_angles(signs[:, :, None] * generators)
+    assert all(angle.method == "quadrature" for angle in angles)
+    assert math.fsum(angle.value for angle in angles) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, seed", [(4, 2), (5, 3), (6, 5)])
+def test_quadrature_agrees_with_monte_carlo(dim, seed):
+    from simcurv.geometry import _estimate_cone_fraction
+
+    embedded = random_simplex(dim, seed=seed)
+    pairs = [(e, s) for e, s in top_angle_pairs(embedded.complex) if len(s) - len(e) in (4, 5)]
+    cache = AngleCache(embedded, FAST)
+    cache.fill(pairs)
+    cfg = AngleConfig(samples=200_000, seed=seed)
+    quadratures = 0
+    for index, (eta, sigma) in enumerate(pairs):
+        angle = cache._values[(eta, sigma)]
+        if angle.method == "monte_carlo":  # a cone too thin for its bound
+            continue
+        quadratures += 1
+        solve_t = np.linalg.inv(geometry.projected_cone_generators(eta, sigma, embedded).T).T
+        p, std_error, _ = _estimate_cone_fraction(solve_t, cfg, index, 0)
+        assert abs(angle.value - p) < 4 * std_error
+    assert quadratures >= len(pairs) - 2
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 5),
@@ -762,9 +868,12 @@ def _rotation(dim, seed):
 )
 def test_closed_form_angles_are_invariant(n, seed, log_scale, extra_dims, order):
     """Rigid motion, uniform scaling, vertex relabelling and a larger ambient
-    space leave every closed-form angle unchanged, to 1e-12 relative.  The
-    shift is scaled with the simplex: moving a 1e-6-sized simplex by 1 costs
-    about 1e-10 of its coordinates' relative precision before any angle is
+    space leave every closed-form angle unchanged, to 1e-12 relative, and
+    every quadrature angle (codimension 4 and 5) too, up to the sum of the
+    two values' abs_error bounds: a small angle is 2^-c plus an integral
+    near -2^-c, so its rounding error is absolute, not relative.  The shift
+    is scaled with the simplex: moving a 1e-6-sized simplex by 1 costs about
+    1e-10 of its coordinates' relative precision before any angle is
     computed.  Vertex v of the moved simplex gets the id ``relabel[v]``."""
     simplex = random_simplex(n, seed=seed)
     dim = n + extra_dims
@@ -777,10 +886,19 @@ def test_closed_form_angles_are_invariant(n, seed, log_scale, extra_dims, order)
         for v, p in simplex.coordinates.items()
     }
     moved = EmbeddedComplex(simplex.complex.relabel(relabel), coords, dim)
-    pairs = [(e, s) for e, s in top_angle_pairs(simplex.complex) if len(s) - len(e) <= 2]
+    # every codimension of an n-simplex, n <= 5, but the Monte Carlo one
+    pairs = [(e, s) for e, s in top_angle_pairs(simplex.complex) if len(s) - len(e) != 3]
     images = [tuple(tuple(sorted(relabel[v] for v in f)) for f in pair) for pair in pairs]
     before, after = AngleCache(simplex, FAST), AngleCache(moved, FAST)
     before.fill(pairs)
     after.fill(images)
     for pair, image in zip(pairs, images):
-        assert after.angle(*image).value == pytest.approx(before.angle(*pair).value, rel=1e-12, abs=0.0)
+        old, new = before.angle(*pair), after.angle(*image)
+        if old.method == "monte_carlo" or new.method == "monte_carlo":
+            # a quadrature whose bound exceeds 1e-12 falls back to Monte
+            # Carlo, whose streams are keyed by vertex ids
+            assert len(pair[1]) - len(pair[0]) in (4, 5)
+            continue
+        assert new.method == old.method
+        bound = old.abs_error + new.abs_error
+        assert new.value == pytest.approx(old.value, rel=1e-12, abs=bound)
