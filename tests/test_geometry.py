@@ -761,17 +761,16 @@ def _rotation(dim, seed):
 ORTHANT_REFERENCES = json.loads((Path(__file__).parent / "data" / "orthant_references.json").read_text())
 
 
-def _cone_simplex(generators, apex=None) -> EmbeddedComplex:
-    """The simplex (apex, apex + g_1, ..., apex + g_c), whose angle at vertex
-    0 is the cone spanned by the rows g_i of ``generators``."""
+def _cone_simplex(generators) -> EmbeddedComplex:
+    """The simplex (0, g_1, ..., g_c), whose angle at vertex 0 is the cone
+    spanned by the rows g_i of ``generators``."""
     g = np.asarray(generators, dtype=float)
-    apex = np.zeros(g.shape[1]) if apex is None else apex
-    coords = {0: apex, **{i + 1: apex + row for i, row in enumerate(g)}}
+    coords = {0: np.zeros(g.shape[1]), **{i + 1: row for i, row in enumerate(g)}}
     return EmbeddedComplex(SimplicialComplex([tuple(range(len(g) + 1))]), coords)
 
 
-def _apex_angle(generators, cfg=FAST) -> AngleValue:
-    return solid_angle((0,), tuple(range(len(generators) + 1)), _cone_simplex(generators), cfg)
+def _apex_angle(generators) -> AngleValue:
+    return solid_angle((0,), tuple(range(len(generators) + 1)), _cone_simplex(generators), FAST)
 
 
 @pytest.mark.parametrize("cone", ORTHANT_REFERENCES["cones"], ids=lambda cone: cone["name"])
