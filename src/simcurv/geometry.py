@@ -61,8 +61,10 @@ correctly, so a form gives the same floats, summed in the same order, as
 ``Fraction`` weights of the same values.  Forms hold no pair of codimension
 0 or 1: ``_AngleForm.add_angles``, the one place that writes this fold, adds
 those angles, the constants 1 and 1/2, to the form's integer constant, so a
-fill computes no cone generators for them.  Sommerville's identity is built
-from two such forms here; the curvatures and the other theorem checks in
+fill computes no cone generators for them.  Sommerville's identity is one
+such form here, its alternating residual; its defect form is that form
+times -1/2, so ``sommerville_residuals`` halves the one value instead of
+building a second form.  The curvatures and the other theorem checks in
 ``simcurv.curvature`` build theirs from the same class.
 """
 
@@ -696,9 +698,9 @@ def top_angle_pairs(complex: SimplicialComplex) -> list[tuple[Simplex, Simplex]]
 # -- Sommerville's alternating angle-sum identity ---------------------------
 
 
-def _sommerville_forms(sigma: Simplex, tau: Simplex) -> tuple[_AngleForm, _AngleForm]:
-    """The alternating and defect residuals of Sommerville's identity for the
-    odd n-simplex sigma and its even face tau (dim p <= n - 2), as forms."""
+def _sommerville_form(sigma: Simplex, tau: Simplex) -> _AngleForm:
+    """The alternating residual of Sommerville's identity for the odd
+    n-simplex sigma and its even face tau (dim p <= n - 2), as a form."""
     n = len(sigma) - 1
     p = len(tau) - 1
     if n % 2 == 0 or n < 3:
@@ -709,17 +711,13 @@ def _sommerville_forms(sigma: Simplex, tau: Simplex) -> tuple[_AngleForm, _Angle
         raise GeometryError(f"{tau} is not a face of {sigma}")
     extra = [v for v in sigma if v not in tau]
     tops = (sigma,)
-    # both forms over the denominator 4
-    alternating = _AngleForm(coeffs={(tau, sigma): -8}, den=4)
-    defect = _AngleForm(const=n - p - 2, coeffs={(tau, sigma): 4}, den=4)
+    # over the denominator 2, so the facets' angles 1/2 fold into the constant
+    form = _AngleForm(coeffs={(tau, sigma): -4}, den=2)
     for i in range(p + 1, n + 1):
-        alternating_c, defect_c = 4 * (-1) ** (i - p + 1), 2 * (-1) ** i
         for rest in combinations(extra, i - p):
             eta = tuple(sorted(tau + rest))  # canonical: tau and rest come from sigma
-            alternating.add_angles(eta, tops, alternating_c)
-            if i <= n - 2:
-                defect.add_angles(eta, tops, defect_c)
-    return alternating, defect
+            form.add_angles(eta, tops, 2 * (-1) ** (i - p + 1))
+    return form
 
 
 def _sommerville_pairs(sigma: Simplex) -> list[tuple[Simplex, Simplex]]:
@@ -738,7 +736,7 @@ def sommerville_residuals(
     """Residuals of Sommerville's cone identity for an odd simplex dimension.
 
     For an n-simplex sigma (n odd >= 3) and an even-dimensional face tau of
-    dimension p <= n - 2, both equivalent forms are evaluated:
+    dimension p <= n - 2, the identity is reported in two equivalent forms:
 
     * alternating form:  sum_{i=p+1}^{n} (-1)^(i-p+1) sum_eta alpha(eta, sigma)
       minus 2 alpha(tau, sigma);
@@ -746,28 +744,34 @@ def sommerville_residuals(
       - 1/2 sum_{i=p+1}^{n-2} (-1)^(i+1) sum_eta alpha(eta, sigma)
       minus (1/2 - (n-p)/4).
 
+    The angles of the faces of dimension n - 1 and n are 1/2 and 1, so the
+    defect form is -1/2 times the alternating one, term by term.  Only the
+    alternating form is built and evaluated; halving a float is exact, so
+    the defect residual and its standard error are the bits that evaluating
+    the defect form would give.
+
     The cache, the caller's or a private one, is filled in one batch with
     the pairs of every Sommerville form on sigma, (eta, sigma) for each face
     eta of codimension >= 2, so a sweep over the taus of sigma with one
     cache computes all its Monte Carlo angles in one parallel fill and the
-    later calls reuse them.  Then both forms are evaluated.  Returns a dict
-    with both residuals and their propagated standard errors.
+    later calls reuse them.  Returns a dict with both residuals and their
+    propagated standard errors.
     """
     sigma = as_simplex(sigma)
     tau = as_simplex(tau)
-    alternating, defect = _sommerville_forms(sigma, tau)
+    form = _sommerville_form(sigma, tau)
     book = _require_cache(embedded, cfg, cache)
     book.fill(_sommerville_pairs(sigma))
-    alt = alternating.evaluate(book)
-    dev = defect.evaluate(book)
+    alt = form.evaluate(book)
     return {
         "sigma": sigma,
         "tau": tau,
         "alternating_residual": alt.value,
         "alternating_std_error": alt.std_error,
-        "defect_rhs": Fraction(-defect.const, defect.den),
-        "defect_residual": dev.value,
-        "defect_std_error": dev.std_error,
+        "defect_rhs": Fraction(2 - len(sigma) + len(tau), 4),
+        # + 0.0: a zero sum of the defect form is 0.0, never -0.0
+        "defect_residual": -alt.value / 2 + 0.0,
+        "defect_std_error": alt.std_error / 2,
     }
 
 

@@ -35,7 +35,7 @@ from simcurv.geometry import (
     CurvatureValue,
     EmbeddedComplex,
     _AngleForm,
-    _sommerville_forms,
+    _sommerville_form,
     sommerville_residuals,
 )
 from simcurv.sequences import angle_defect_term
@@ -617,7 +617,7 @@ def test_forms_hold_no_pair_of_codimension_at_most_one(monkeypatch, sphere3, boo
     for dim, seed in ((3, 21), (5, 22)):
         sigma = random_simplex(dim, seed=seed).complex.simplices(dim)[0]
         for tau in _even_faces(sigma):
-            forms += _sommerville_forms(sigma, tau)
+            forms.append(_sommerville_form(sigma, tau))
     assert all(_low_codimension_pairs(form) == [] for form in forms + totals)
     # what is left still has pairs: the test is not passing on empty forms
     assert all(total.coeffs for total in totals[:4])

@@ -205,15 +205,12 @@ def test_sommerville_preconditions(solid_tet):
         sommerville_residuals((0, 1, 2, 3), (0, 1), solid_tet, FAST)  # odd face
 
 
-def test_sommerville_residuals_fill_both_forms_at_once():
-    from simcurv.geometry import _sommerville_forms
-
+def test_sommerville_residuals_fill_their_form_at_once():
     five = random_simplex(5, seed=4)
     sigma, tau = tuple(range(6)), (0, 2, 5)
     cache = AngleCache(five, AngleConfig(samples=2000, seed=4, threads=2))
     sommerville_residuals(sigma, tau, five, cache=cache)
-    alternating, defect = _sommerville_forms(sigma, tau)
-    assert alternating.coeffs.keys() | defect.coeffs.keys() <= cache._values.keys()
+    assert geometry._sommerville_form(sigma, tau).coeffs.keys() <= cache._values.keys()
     # a caller's cache gets every Sommerville pair of sigma: faces of codim >= 2
     faces = {(eta, sigma) for k in range(1, 5) for eta in combinations(sigma, k)}
     assert cache._values.keys() == faces
@@ -260,8 +257,6 @@ def test_sommerville_residuals_reuse_the_simplex_batch_for_another_tau(monkeypat
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sommerville_residuals_equal_the_pair_by_pair_path(threads):
-    from simcurv.geometry import _sommerville_forms
-
     for dim, seed in [(3, 5), (5, 6)]:
         embedded = random_simplex(dim, seed=seed)
         sigma = tuple(range(dim + 1))
@@ -271,21 +266,20 @@ def test_sommerville_residuals_equal_the_pair_by_pair_path(threads):
         taus = [t for p in range(0, dim - 1, 2) for t in combinations(sigma, p + 1)]
         for tau in taus:
             report = sommerville_residuals(sigma, tau, embedded, cache=batched)
-            alternating, defect = _sommerville_forms(sigma, tau)
-            for pair in alternating.coeffs:  # one pair at a time, as the lazy path did
+            form = geometry._sommerville_form(sigma, tau)
+            for pair in form.coeffs:  # one pair at a time, as the lazy path did
                 reference.angle(*pair)
-            for name, form in (("alternating", alternating), ("defect", defect)):
-                value = form.evaluate(reference)
-                assert report[f"{name}_residual"] == value.value
-                assert report[f"{name}_std_error"] == value.std_error
+            value = form.evaluate(reference)
+            assert report["alternating_residual"] == value.value
+            assert report["alternating_std_error"] == value.std_error
+            assert report["defect_residual"] == -value.value / 2
+            assert report["defect_std_error"] == value.std_error / 2
 
 
 def test_form_evaluation_needs_a_filled_cache(solid_tet):
-    from simcurv.geometry import _sommerville_forms
-
-    alternating, _ = _sommerville_forms((0, 1, 2, 3), (0,))
+    form = geometry._sommerville_form((0, 1, 2, 3), (0,))
     with pytest.raises(KeyError):
-        alternating.evaluate(AngleCache(solid_tet, FAST))
+        form.evaluate(AngleCache(solid_tet, FAST))
 
 
 # -- convex hull --------------------------------------------------------------
