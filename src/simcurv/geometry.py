@@ -57,8 +57,9 @@ Linear combinations of angles are held as ``_AngleForm``s: an integer
 constant and integer coefficients on (face, top-simplex) pairs, all over one
 common denominator, evaluated against an ``AngleCache`` filled with their
 pairs.  Each angle is weighted by ``c / den``, which Python rounds
-correctly, so a form gives the same floats, summed in the same order, as
-``Fraction`` weights of the same values.  Forms hold no pair of codimension
+correctly, so a form gives the same floats as ``Fraction`` weights of the
+same values, and ``math.fsum`` rounds their exact sum once, whatever the
+order or number of the terms.  Forms hold no pair of codimension
 0 or 1: ``_AngleForm.add_angles``, the one place that writes this fold, adds
 those angles, the constants 1 and 1/2, to the form's integer constant, so a
 fill computes no cone generators for them.  Sommerville's identity is one
@@ -671,18 +672,17 @@ class _AngleForm:
 
         The value is const / den plus each angle times the weight c / den.
         Integer true division is correctly rounded, so every float is the one
-        a ``Fraction`` of the same value converts to.
+        a ``Fraction`` of the same value converts to.  The terms, and apart
+        from them the variance terms, are summed by ``math.fsum``, which
+        rounds their exact sum once, so the value does not depend on the
+        order of the terms and no rounding error grows with their number.
         """
-        float_part = 0.0
-        variance = 0.0
         den = self.den
         values = cache._values  # form keys are canonical, like the cache's
-        for pair, c in self.coeffs.items():
-            angle = values[pair]
-            weight = c / den
-            float_part += weight * angle.value
-            variance += (weight * angle.std_error) ** 2
-        return CurvatureValue(self.const / den + float_part, math.sqrt(variance))
+        weighted = [(c / den, values[pair]) for pair, c in self.coeffs.items()]
+        value = math.fsum([self.const / den, *(w * angle.value for w, angle in weighted)])
+        variance = math.fsum((w * angle.std_error) ** 2 for w, angle in weighted)
+        return CurvatureValue(value, math.sqrt(variance))
 
 
 def top_angle_pairs(complex: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:

@@ -32,6 +32,7 @@ from simcurv.generators import boundary_of_simplex, random_simplex, solid_simple
 from simcurv.geometry import (
     AngleCache,
     AngleConfig,
+    AngleValue,
     CurvatureValue,
     EmbeddedComplex,
     _AngleForm,
@@ -444,11 +445,11 @@ def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, wei
 
 def _fraction_evaluate(form, cache):
     """Reference: a form evaluated with ``Fraction`` weights, summing the
-    same floats in the same order; a pair of codimension 0 or 1 is taken
+    same floats with ``math.fsum``; a pair of codimension 0 or 1 is taken
     exactly, at the angle 1 or 1/2."""
     rational = Fraction(form.const, form.den)
-    float_part = 0.0
-    variance = 0.0
+    products = []
+    variance = []
     exact = True
     for pair, c in form.coeffs.items():
         coeff = Fraction(c, form.den)
@@ -458,11 +459,12 @@ def _fraction_evaluate(form, cache):
             rational += coeff / 2**codim
             continue
         angle = cache._values[pair]
-        float_part += float(coeff) * angle.value
-        variance += (float(coeff) * angle.std_error) ** 2
+        products.append(float(coeff) * angle.value)
+        variance.append((float(coeff) * angle.std_error) ** 2)
         if angle.method != "exact":
             exact = False
-    return float(rational) + float_part, math.sqrt(variance), exact and variance == 0.0
+    variance = math.fsum(variance)
+    return math.fsum([float(rational), *products]), math.sqrt(variance), exact and variance == 0.0
 
 
 def _bits(value, std_error, exact):
@@ -527,6 +529,30 @@ def test_weights_above_float_precision_give_correctly_rounded_floats(monkeypatch
     cache.fill([pair])
     form = _AngleForm(coeffs={pair: HUGE.numerator}, den=HUGE.denominator)
     assert form.evaluate(cache).value == float(HUGE) * cache._values[pair].value
+
+
+def test_form_value_is_the_correctly_rounded_sum_of_its_terms(sphere2):
+    # a term near 10^9, a thousand angles, and the first term again with the
+    # opposite sign: summed in sequence, each angle is rounded to the ulp of
+    # 10^9 (about 1.2e-7), and the value strays far beyond 1e-9
+    rng = np.random.default_rng(22)
+    values = [AngleValue(0.75, 0.0, "exact")] + [
+        AngleValue(float(x), 0.0, "exact") for x in rng.random(1000)
+    ]
+    pairs = [((v,), (v, 10_000)) for v in range(len(values) + 1)]
+    coeffs = {pairs[0]: 2**30, **{pair: 1 for pair in pairs[1:-1]}, pairs[-1]: -(2**30)}
+    cache = AngleCache(sphere2)
+    cache._values.update(zip(pairs, values + values[:1]))
+    form = _AngleForm(const=3, coeffs=coeffs, den=1)
+    # every product c x angle is exact, so the value is the rounded exact sum
+    exact = 3 + sum(Fraction(c) * Fraction(cache._values[pair].value) for pair, c in coeffs.items())
+    in_sequence = 3.0
+    for pair, c in coeffs.items():
+        in_sequence += c * cache._values[pair].value
+    assert abs(in_sequence - float(exact)) > 1e-9
+    cv = form.evaluate(cache)
+    assert cv.value == float(exact)
+    assert cv.exact
 
 
 def test_add_matches_fraction_arithmetic():
