@@ -11,15 +11,34 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 Simplex = tuple[int, ...]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int.  Ints and numpy integers pass; a bool, a float or
+    a string raises ValueError, where ``int()`` would truncate or parse it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def as_simplex(vertices: Iterable[int]) -> Simplex:
-    """Normalize an iterable of vertex ids into a canonical simplex tuple."""
-    vs = tuple(sorted(int(v) for v in vertices))
+    """Normalize an iterable of vertex ids into a canonical simplex tuple.
+    The ids must be integers, as ``_integer`` takes them."""
+    vertices = tuple(vertices)
+    try:
+        if bool in map(type, vertices):
+            raise TypeError
+        vs = tuple(sorted(map(operator.index, vertices)))
+    except TypeError:
+        raise ValueError(f"vertex ids must be integers, got {vertices!r}") from None
     if not vs:
         raise ValueError("a simplex needs at least one vertex")
     if len(set(vs)) != len(vs):

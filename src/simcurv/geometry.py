@@ -82,7 +82,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from simcurv._kernels import count_cone_hits
-from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
+from simcurv.complexes import Simplex, SimplicialComplex, _integer, as_simplex
 
 DEGENERACY_TOL = 1e-9
 _RANK_TOL = 1e-10
@@ -118,6 +118,10 @@ class AngleConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        # numpy integers become ints: a numpy seed would overflow the stream key
+        names = ("samples", "seed") if self.threads is None else ("samples", "seed", "threads")
+        for name in names:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000")
         if self.threads is not None and self.threads < 1:

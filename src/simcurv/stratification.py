@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
+from simcurv.complexes import Simplex, SimplicialComplex, _integer, as_simplex
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,10 @@ def stratify(
         key = as_simplex(simplex)
         if key not in complex:
             raise KeyError(f"override references unknown simplex {key}")
+        r = _integer(r, f"override stratum for {key}")
         if r < 0:
             raise ValueError(f"override stratum for {key} must be non-negative")
-        override_map[key] = int(r)
+        override_map[key] = r
 
     for simplex in complex.simplices():
         if simplex in override_map:

@@ -485,6 +485,24 @@ def test_non_positive_threads_are_rejected(threads):
         AngleConfig(samples=1000, threads=threads)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", 1e6), ("samples", True), ("seed", 1.5), ("seed", "3"), ("threads", 2.5), ("threads", True)],
+)
+def test_angle_config_refuses_non_integer_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        AngleConfig(**{field: value})
+
+
+def test_angle_config_takes_numpy_integers_as_ints(solid_tet):
+    cfg = AngleConfig(samples=np.int64(2000), seed=np.int64(7), threads=np.int32(2))
+    assert cfg == AngleConfig(samples=2000, seed=7, threads=2)
+    assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.threads))
+    # a numpy seed keys the same Monte Carlo streams as the int
+    pair = ((0,), (0, 1, 2, 3))
+    assert solid_angle(*pair, solid_tet, cfg) == solid_angle(*pair, solid_tet, AngleConfig(2000, 7, 2))
+
+
 def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
     import simcurv.geometry as geometry
 
