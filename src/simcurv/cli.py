@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from simcurv import generators, io, sequences
 from simcurv.curvature import (
+    DEFAULT_Z,
     HypothesisError,
     TheoremReport,
     _row,
@@ -89,8 +90,8 @@ def _angle_config(args) -> AngleConfig:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=int, default=AngleConfig.samples)
+    parser.add_argument("--seed", type=int, default=AngleConfig.seed)
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--format", choices=["table", "json"], default="table")
 
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--base", help="base complex (verify subdivision)")
     p.add_argument("--carrier", help="carrier sidecar (verify subdivision)")
-    p.add_argument("--z-threshold", type=float, default=4.0)
+    p.add_argument("--z-threshold", type=float, default=DEFAULT_Z)
     _add_run_options(p)
     p.set_defaults(func=_cmd_verify)
 

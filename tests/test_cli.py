@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from simcurv import io as cio
-from simcurv.cli import main
+from simcurv.cli import _angle_config, build_parser, main
+from simcurv.curvature import DEFAULT_Z
 from simcurv.generators import boundary_of_simplex, cross_polytope, triple_book
+from simcurv.geometry import AngleConfig
 from simcurv.subdivision import stellar_subdivide
 
 
@@ -478,6 +480,14 @@ def test_bad_z_threshold_exits_2(capsys, sphere3_file, command, z):
     assert code == 2
     assert out == ""
     assert f"--z-threshold must be a positive finite number, got {float(z)}" in err
+
+
+@pytest.mark.parametrize("argv", [["angles", "c.json"], ["curvature", "c.json"], ["verify", "sommerville", "c.json"]])
+def test_run_option_defaults_are_the_library_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert _angle_config(args) == AngleConfig()
+    if argv[0] == "verify":
+        assert args.z_threshold == DEFAULT_Z
 
 
 @pytest.mark.parametrize("command", ["angles", "curvature"])
