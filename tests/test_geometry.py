@@ -282,6 +282,43 @@ def test_form_evaluation_needs_a_filled_cache(solid_tet):
         form.evaluate(AngleCache(solid_tet, FAST))
 
 
+@pytest.mark.parametrize("dim, seed", [(3, 1), (5, 2), (7, 3)])
+def test_defect_residual_is_the_alternating_one_times_minus_one_half(dim, seed):
+    embedded = random_simplex(dim, seed=seed)
+    sigma = embedded.complex.simplices(dim)[0]
+    cache = AngleCache(embedded, AngleConfig(samples=2000, seed=seed))
+    for p in range(0, dim - 1, 2):
+        for tau in combinations(sigma, p + 1):
+            report = sommerville_residuals(sigma, tau, embedded, cache=cache)
+            alternating = report["alternating_residual"]
+            assert report["defect_residual"].hex() == (-alternating / 2).hex()
+            assert report["defect_std_error"].hex() == (report["alternating_std_error"] / 2).hex()
+            assert report["defect_rhs"] == Fraction(1, 2) - Fraction(dim - p, 4)
+
+
+# -- Gram's relation -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_gram_relation_on_random_simplices(dim, seed):
+    # Brianchon-Gram (Perles & Shephard, Math. Scand. 21:199, 1967): the sum
+    # over the faces eta of sigma, sigma included, of (-1)^dim(eta) times
+    # alpha(eta, sigma) is 0; the Monte Carlo angles of codimension 3 (and 6)
+    # give it a standard error
+    embedded = random_simplex(dim, seed=seed)
+    sigma = embedded.complex.simplices(dim)[0]
+    form = geometry._AngleForm(den=2)
+    for k in range(1, dim + 2):
+        for eta in combinations(sigma, k):
+            form.add_angles(eta, (sigma,), 2 * (-1) ** (k - 1))
+    cache = AngleCache(embedded, AngleConfig(samples=200_000, seed=seed))
+    cache.fill(form.coeffs)
+    cv = form.evaluate(cache)
+    assert cv.std_error > 0
+    assert abs(cv.value) <= 4 * cv.std_error, f"z = {cv.value / cv.std_error:.2f}"
+
+
 # -- convex hull --------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from simcurv import sommerville_check
 from simcurv import io as cio
 from simcurv.cli import main
-from simcurv.curvature import DEFAULT_Z
+from simcurv.curvature import DEFAULT_Z, _verdict
 from simcurv.generators import boundary_of_simplex, cross_polytope, random_simplex
 from simcurv.geometry import AngleCache, AngleConfig, sommerville_residuals
 
@@ -39,6 +39,17 @@ def test_check_rows_match_per_pair_residuals(embedded, seed, expected_pairs):
     worst = max(report.rows, key=lambda r: abs(r["alternating_residual"]))
     assert report.summary["worst_residual"] == worst["alternating_residual"]
     assert report.passed == all(r["pass"] for r in report.rows)
+
+
+@pytest.mark.parametrize("z", [0.25, 1.0, DEFAULT_Z])
+def test_a_row_passes_exactly_when_its_alternating_verdict_does(z):
+    report = sommerville_check(cross_polytope(4), AngleConfig(samples=2000, seed=5), z=z)
+    for row in report.rows:
+        assert row["pass"] == _verdict(row["alternating_residual"], row["alternating_std_error"], z)
+        # halved residual and halved error: the defect form's verdict is the same
+        assert row["pass"] == _verdict(row["defect_residual"], row["defect_std_error"], z)
+    if z < 1:
+        assert 0 < sum(row["pass"] for row in report.rows) < len(report.rows)
 
 
 def test_check_fills_every_monte_carlo_angle_in_one_batch(monkeypatch):
