@@ -19,8 +19,8 @@ Simplex = tuple[int, ...]
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int.  Ints and numpy integers pass; a bool, a float or
-    a string raises ValueError, where ``int()`` would truncate or parse it."""
+    """``value`` as an int.  A bool, a float or a string, which ``int()``
+    would take as 1, truncate or parse, raises ValueError."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -30,15 +30,8 @@ def _integer(value, what: str) -> int:
 
 
 def as_simplex(vertices: Iterable[int]) -> Simplex:
-    """Normalize an iterable of vertex ids into a canonical simplex tuple.
-    The ids must be integers, as ``_integer`` takes them."""
-    vertices = tuple(vertices)
-    try:
-        if bool in map(type, vertices):
-            raise TypeError
-        vs = tuple(sorted(map(operator.index, vertices)))
-    except TypeError:
-        raise ValueError(f"vertex ids must be integers, got {vertices!r}") from None
+    """Normalize integer vertex ids (see ``_integer``) into a canonical tuple."""
+    vs = tuple(sorted(_integer(v, "vertex id") for v in vertices))
     if not vs:
         raise ValueError("a simplex needs at least one vertex")
     if len(set(vs)) != len(vs):

@@ -18,20 +18,16 @@ alone.  The angles of codimension 0 and 1 are the constants 1 and 1/2, and
 ``_AngleForm.add_angles`` folds them into the form's constant, so the
 defects of simplices of codimension <= 1 go whole into the constant: forms
 hold only pairs of codimension >= 2, which the fill computes and the
-evaluation sums.  The constant is the same exact rational, and the float
-terms keep their order, so every value is the one the unfolded form gives.
+evaluation sums.  The constant is the same exact rational, so every value
+is the one the unfolded form gives.
 
 Every curvature and every check (Gauss-Bonnet, vanishing, and subdivision
-through ``curvature_table``) builds its forms and hands them to
-``_evaluate``, which fills the cache with all their pairs in one batch and
-evaluates each form.  The Sommerville check
-builds no form of its own: it fills one cache with the pairs of every top
-simplex in one batch, then sweeps ``geometry.sommerville_residuals``, which
-holds the form of that identity, over it.  The form class lives in
-``simcurv.geometry``.  A value is exact when its standard error is 0, and
-every verdict is ``_verdict(residual, std_error, z)``.  Gauss-Bonnet judges
-only its total; its rows are the ascending curvatures, as ``curvature``
-prints them.
+through ``curvature_table``) hands its forms to ``_evaluate``, which fills
+the cache with all their pairs in one batch and evaluates each form; the
+Sommerville check fills once and sweeps ``geometry.sommerville_residuals``.
+A value is exact when its standard error is 0, and every verdict is
+``_verdict(residual, std_error, z)``.  Gauss-Bonnet judges only its total;
+its rows are the ascending curvatures, as ``curvature`` prints them.
 """
 
 from __future__ import annotations
@@ -84,9 +80,7 @@ def _add_defects(
     ``scale`` is an even integer numerator, so ``scale`` times r/2 is an
     integer, and ``_AngleForm.add_angles`` can take the constant angles 1
     and 1/2 of codimension 0 and 1 into ``form.const``.  Otherwise none of
-    eta's pairs may be in the form yet: each coefficient is written in the
-    order ``_AngleForm.add`` would insert it, so evaluation sums the same
-    floats in the same order.
+    eta's pairs may be in the form yet.
     """
     form.const += scale // 2 * assignment.r(eta)
     form.add_angles(eta, complex.top_cofaces(eta), -scale)
@@ -462,11 +456,8 @@ def sommerville_check(
 ) -> TheoremReport:
     """Sommerville's identity for every top simplex sigma of an
     odd-dimensional complex and every even face tau of dimension <= n - 2.
-
-    Each row reports both forms of ``sommerville_residuals`` and is judged
-    once, on the alternating residual: with a standard error the defect
-    form's verdict is the same inequality halved, and without one its
-    residual is half as large."""
+    A row is judged on its alternating residual, whose verdict implies the
+    defect form's, -1/2 times it."""
     _require_z(z)
     complex = embedded.complex
     n = complex.dim
@@ -482,8 +473,6 @@ def sommerville_check(
                 row = sommerville_residuals(sigma, tau, embedded, cache=book)
                 del row["defect_rhs"]
                 row["sigma"], row["tau"] = list(sigma), list(tau)
-                # the defect residual and its error are the alternating ones
-                # times -1/2, so this verdict implies the defect form's
                 row["pass"] = _verdict(row["alternating_residual"], row["alternating_std_error"], z)
                 rows.append(row)
     worst = max(rows, key=lambda r: abs(r["alternating_residual"]))

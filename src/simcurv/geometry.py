@@ -38,14 +38,9 @@ stack of one.  Only Monte Carlo pairs go to the thread pool.
 The thread pool is process-wide: one ``ThreadPoolExecutor`` per worker
 count, started on first use and kept, so a fill of a few Monte Carlo pairs
 pays no thread start-up.  A fork hook forgets the pools in the child, which
-has none of its parent's threads.  Every caller fills before it evaluates,
-``sommerville_residuals`` included: it fills, in one batch, the pairs of
-every Sommerville form on its simplex (``_sommerville_pairs``), so the Monte
-Carlo angles of a sweep over one simplex's faces (4 per tetrahedron, 20 per
-5-simplex) run as one parallel fill.  That is the one fill rule for
-Sommerville's identity: ``simcurv.curvature.sommerville_check`` fills the
-pairs of every top simplex by it in one batch, then sweeps these calls over
-that cache.
+has none of its parent's threads.  Every caller fills before it evaluates;
+``sommerville_residuals`` fills every pair of its simplex, so a sweep over
+one simplex's faces runs its Monte Carlo angles as one parallel fill.
 
 Monte Carlo streams are counter-based: each (seed, face index, top index,
 block index) tuple keys an independent SFC64 stream through a
@@ -57,16 +52,14 @@ Linear combinations of angles are held as ``_AngleForm``s: an integer
 constant and integer coefficients on (face, top-simplex) pairs, all over one
 common denominator, evaluated against an ``AngleCache`` filled with their
 pairs.  Each angle is weighted by ``c / den``, which Python rounds
-correctly, so a form gives the same floats as ``Fraction`` weights of the
-same values, and ``math.fsum`` rounds their exact sum once, whatever the
-order or number of the terms.  Forms hold no pair of codimension
-0 or 1: ``_AngleForm.add_angles``, the one place that writes this fold, adds
-those angles, the constants 1 and 1/2, to the form's integer constant, so a
-fill computes no cone generators for them.  Sommerville's identity is one
-such form here, its alternating residual; its defect form is that form
-times -1/2, so ``sommerville_residuals`` halves the one value instead of
-building a second form.  The curvatures and the other theorem checks in
-``simcurv.curvature`` build theirs from the same class.
+correctly, so the terms are the floats ``Fraction`` weights give, and
+``math.fsum`` rounds their exact sum once.  Forms hold no pair of
+codimension 0 or 1: ``_AngleForm.add_angles``, the one place that writes
+this fold, adds those angles, the constants 1 and 1/2, to the form's
+integer constant, so a fill computes no cone generators for them.
+Sommerville's identity is one such form, halved for its defect form; the
+curvatures and the other theorem checks in ``simcurv.curvature`` build
+theirs from the same class.
 """
 
 from __future__ import annotations
@@ -118,9 +111,8 @@ class AngleConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        # numpy integers become ints: a numpy seed would overflow the stream key
-        names = ("samples", "seed") if self.threads is None else ("samples", "seed", "threads")
-        for name in names:
+        # numpy integers are stored as ints: a numpy seed overflows the stream key
+        for name in ("samples", "seed") if self.threads is None else ("samples", "seed", "threads"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.samples < 1000:
             raise ValueError("samples must be at least 1000")
@@ -630,7 +622,7 @@ class _AngleForm:
     def add(self, other: "_AngleForm", scale: Fraction | int = 1) -> None:
         """Add ``scale`` times ``other``.  The denominator grows to the lcm
         only when ``other`` brings a new one; a coefficient that cancels to
-        zero is removed, and new pairs are appended in ``other``'s order."""
+        zero is removed."""
         scale = Fraction(scale)
         if scale == 0:
             return
@@ -658,8 +650,7 @@ class _AngleForm:
 
         At codimension 0 or 1 the angles are the constants 1 and 1/2, and
         ``c`` is even, so they go whole into ``const``.  Otherwise the pairs
-        are written in the order of ``tops``, not merged as ``add`` merges:
-        none of them may be in the form yet.
+        are written, not merged as ``add`` merges: none may be in the form yet.
         """
         if not tops:
             return
@@ -676,10 +667,9 @@ class _AngleForm:
 
         The value is const / den plus each angle times the weight c / den.
         Integer true division is correctly rounded, so every float is the one
-        a ``Fraction`` of the same value converts to.  The terms, and apart
-        from them the variance terms, are summed by ``math.fsum``, which
-        rounds their exact sum once, so the value does not depend on the
-        order of the terms and no rounding error grows with their number.
+        a ``Fraction`` of the same value converts to.  ``math.fsum`` sums
+        the terms, and apart from them the variance terms, rounding the
+        exact sum once, whatever the order and number of the terms.
         """
         den = self.den
         values = cache._values  # form keys are canonical, like the cache's
@@ -714,13 +704,12 @@ def _sommerville_form(sigma: Simplex, tau: Simplex) -> _AngleForm:
     if not set(tau) <= set(sigma):
         raise GeometryError(f"{tau} is not a face of {sigma}")
     extra = [v for v in sigma if v not in tau]
-    tops = (sigma,)
     # over the denominator 2, so the facets' angles 1/2 fold into the constant
     form = _AngleForm(coeffs={(tau, sigma): -4}, den=2)
     for i in range(p + 1, n + 1):
         for rest in combinations(extra, i - p):
             eta = tuple(sorted(tau + rest))  # canonical: tau and rest come from sigma
-            form.add_angles(eta, tops, 2 * (-1) ** (i - p + 1))
+            form.add_angles(eta, (sigma,), 2 * (-1) ** (i - p + 1))
     return form
 
 
@@ -740,7 +729,7 @@ def sommerville_residuals(
     """Residuals of Sommerville's cone identity for an odd simplex dimension.
 
     For an n-simplex sigma (n odd >= 3) and an even-dimensional face tau of
-    dimension p <= n - 2, the identity is reported in two equivalent forms:
+    dimension p <= n - 2, the identity has two equivalent forms:
 
     * alternating form:  sum_{i=p+1}^{n} (-1)^(i-p+1) sum_eta alpha(eta, sigma)
       minus 2 alpha(tau, sigma);
@@ -748,21 +737,15 @@ def sommerville_residuals(
       - 1/2 sum_{i=p+1}^{n-2} (-1)^(i+1) sum_eta alpha(eta, sigma)
       minus (1/2 - (n-p)/4).
 
-    The angles of the faces of dimension n - 1 and n are 1/2 and 1, so the
-    defect form is -1/2 times the alternating one, term by term.  Only the
-    alternating form is built and evaluated; halving a float is exact, so
-    the defect residual and its standard error are the bits that evaluating
-    the defect form would give.
-
-    The cache, the caller's or a private one, is filled in one batch with
-    the pairs of every Sommerville form on sigma, (eta, sigma) for each face
-    eta of codimension >= 2, so a sweep over the taus of sigma with one
-    cache computes all its Monte Carlo angles in one parallel fill and the
-    later calls reuse them.  Returns a dict with both residuals and their
-    propagated standard errors.
+    The faces of dimension n - 1 and n have the angles 1/2 and 1, so the
+    defect form is -1/2 times the alternating one.  Only that one is built
+    and evaluated; halving is exact, so the defect residual and its standard
+    error are the bits the defect form would give.  The cache, the caller's
+    or a private one, is first filled in one batch with (eta, sigma) for
+    each face eta of codimension >= 2, so a sweep over the taus of sigma
+    with one cache computes all its Monte Carlo angles in one parallel fill.
     """
-    sigma = as_simplex(sigma)
-    tau = as_simplex(tau)
+    sigma, tau = as_simplex(sigma), as_simplex(tau)
     form = _sommerville_form(sigma, tau)
     book = _require_cache(embedded, cfg, cache)
     book.fill(_sommerville_pairs(sigma))
@@ -773,8 +756,7 @@ def sommerville_residuals(
         "alternating_residual": alt.value,
         "alternating_std_error": alt.std_error,
         "defect_rhs": Fraction(2 - len(sigma) + len(tau), 4),
-        # + 0.0: a zero sum of the defect form is 0.0, never -0.0
-        "defect_residual": -alt.value / 2 + 0.0,
+        "defect_residual": -alt.value / 2 + 0.0,  # a zero sum is 0.0, not -0.0
         "defect_std_error": alt.std_error / 2,
     }
 
