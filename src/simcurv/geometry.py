@@ -738,8 +738,8 @@ def sommerville_residuals(
       minus (1/2 - (n-p)/4).
 
     The faces of dimension n - 1 and n have the angles 1/2 and 1, so the
-    defect form is -1/2 times the alternating one.  Only that one is built
-    and evaluated; halving is exact, so the defect residual and its standard
+    defect form is -1/2 times the alternating one, the only one built and
+    evaluated; halving is exact, so the defect residual and its standard
     error are the bits the defect form would give.  The cache, the caller's
     or a private one, is first filled in one batch with (eta, sigma) for
     each face eta of codimension >= 2, so a sweep over the taus of sigma
