@@ -14,6 +14,7 @@ import numpy as np
 
 from simcurv.complexes import (
     SimplicialComplex,
+    _integer,
     cone_complex,
     join_complexes,
     suspension_complex,
@@ -132,7 +133,8 @@ def random_simplex(n: int, seed: int = 0) -> EmbeddedComplex:
     a negative seed is taken modulo 2^64, as the Monte Carlo streams take it."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed & (1 << 64) - 1)))
+    seed = _integer(seed, "seed") & (1 << 64) - 1
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     for _ in range(100):
         points = rng.standard_normal((n + 1, n))
         edges = points[1:] - points[0]

@@ -528,6 +528,14 @@ def test_angle_config_takes_numpy_integers_as_ints(solid_tet):
     assert solid_angle(*pair, solid_tet, cfg) == solid_angle(*pair, solid_tet, AngleConfig(2000, 7, 2))
 
 
+def test_random_simplex_takes_its_seed_by_the_integer_rule():
+    # a numpy seed overflowed the 64-bit mask and a float one raised TypeError
+    numpy_seeded = random_simplex(3, seed=np.int64(5)).coordinates
+    assert all((numpy_seeded[v] == p).all() for v, p in random_simplex(3, seed=5).coordinates.items())
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        random_simplex(3, seed=1.5)
+
+
 def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
     import simcurv.geometry as geometry
 
