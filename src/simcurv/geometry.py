@@ -663,20 +663,21 @@ class _AngleForm:
             coeffs[(eta, sigma)] = c
 
     def evaluate(self, cache: AngleCache) -> CurvatureValue:
-        """The form's value against a cache already filled with its pairs.
-
-        The value is const / den plus each angle times the weight c / den.
-        Integer true division is correctly rounded, so every float is the one
-        a ``Fraction`` of the same value converts to.  ``math.fsum`` sums
-        the terms, and apart from them the variance terms, rounding the
-        exact sum once, whatever the order and number of the terms.
-        """
+        """The form's value against a cache already filled with its pairs:
+        const / den plus each angle times the weight c / den.  Integer true
+        division is correctly rounded, so every float is the one a
+        ``Fraction`` of the same value converts to, and ``math.fsum`` rounds
+        the exact sum of the terms, and apart from it of the variance terms,
+        once, whatever the order and number of the terms."""
         den = self.den
         values = cache._values  # form keys are canonical, like the cache's
-        weighted = [(c / den, values[pair]) for pair, c in self.coeffs.items()]
-        value = math.fsum([self.const / den, *(w * angle.value for w, angle in weighted)])
-        variance = math.fsum((w * angle.std_error) ** 2 for w, angle in weighted)
-        return CurvatureValue(value, math.sqrt(variance))
+        terms, variances = [self.const / den], []
+        for pair, c in self.coeffs.items():
+            angle = values[pair]
+            weight = c / den
+            terms.append(weight * angle.value)
+            variances.append((weight * angle.std_error) ** 2)
+        return CurvatureValue(math.fsum(terms), math.sqrt(math.fsum(variances)))
 
 
 def top_angle_pairs(complex: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
@@ -714,8 +715,7 @@ def _sommerville_form(sigma: Simplex, tau: Simplex) -> _AngleForm:
 
 
 def _sommerville_pairs(sigma: Simplex) -> list[tuple[Simplex, Simplex]]:
-    """Every pair a Sommerville form on sigma uses: (eta, sigma) for each face
-    eta of codimension >= 2."""
+    """The pairs of Sommerville's forms on sigma: its faces of codimension >= 2."""
     return [(eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k)]
 
 
