@@ -24,6 +24,7 @@ from simcurv.geometry import EmbeddedComplex, GeometryError
 
 def regular_simplex_points(n: int) -> np.ndarray:
     """Vertices of a regular n-simplex in R^n (edge length sqrt(2))."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     corners = np.eye(n + 1) - np.full((n + 1, n + 1), 1.0 / (n + 1))
@@ -42,6 +43,7 @@ def solid_simplex(n: int) -> EmbeddedComplex:
 
 def boundary_of_simplex(n: int) -> EmbeddedComplex:
     """The (n-1)-sphere formed by the proper facets of a regular n-simplex."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     points = regular_simplex_points(n)
@@ -52,6 +54,7 @@ def boundary_of_simplex(n: int) -> EmbeddedComplex:
 
 def cross_polytope(n: int) -> EmbeddedComplex:
     """Boundary of the n-dimensional cross-polytope (vertices +-e_i)."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     coords = {}
@@ -124,6 +127,7 @@ def triple_book() -> EmbeddedComplex:
 
 def join_of_sphere_boundaries(a: int = 2, b: int = 2) -> EmbeddedComplex:
     """Geometric join of two simplex-boundary spheres."""
+    a, b = _integer(a, "a"), _integer(b, "b")
     joined, _ = embedded_join(boundary_of_simplex(a), boundary_of_simplex(b))
     return joined
 
@@ -131,6 +135,7 @@ def join_of_sphere_boundaries(a: int = 2, b: int = 2) -> EmbeddedComplex:
 def random_simplex(n: int, seed: int = 0) -> EmbeddedComplex:
     """One solid n-simplex with Gaussian vertices, retried until well shaped;
     a negative seed is taken modulo 2^64, as the Monte Carlo streams take it."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     seed = _integer(seed, "seed") & (1 << 64) - 1

@@ -21,12 +21,13 @@ intrinsically in the affine hull of the simplex:
 * codimension 3 and codimension >= 6 -> Monte Carlo: project the opposite
   vertices onto the orthogonal complement of the face, then count isotropic
   Gaussian directions falling inside the resulting simplicial cone C.  Each
-  drawn direction z is tested twice, as z in C and as z in -C (antithetic pairs;
-  C and -C are disjoint and have equal Gaussian measure), so N cone tests
-  cost N / 2 Gaussian vectors.  With p the angle, each vector contributes a
-  Bernoulli(2p) count, and the standard error of the estimate hits / N is
-  sqrt(p (1 - 2p) / N), below the one-sided sqrt(p (1 - p) / N), with a
-  floor of 1 / N.
+  drawn direction z is tested 2c times, as P^s z in C and in -C for the c
+  cyclic coordinate shifts P^s (each image of z is isotropic Gaussian, so
+  every test has probability p, the angle), so N cone tests cost N / 2c
+  Gaussian vectors.  The standard error of the estimate hits / N comes from
+  the sample variance of the per-vector count X in {0, ..., 2c}: it is
+  sqrt(p (1 - 2cp) / N) while the 2c images are disjoint and larger where
+  they overlap, with a floor of 1 / N.
 
 Closed forms and quadratures are computed in stacks.  ``AngleCache.fill``
 groups the pairs it is given by codimension and face size; each group gets
@@ -101,9 +102,11 @@ def default_thread_count() -> int:
 class AngleConfig:
     """Monte Carlo settings for solid-angle estimation.
 
-    ``samples`` counts cone tests per angle.  Each Gaussian vector gives two
-    (the cone and its mirror image), so an angle draws ceil(samples / 2)
-    vectors and reports ``AngleValue.samples`` = 2 ceil(samples / 2).
+    ``samples`` counts cone tests per angle.  Each Gaussian vector gives 2c
+    at codimension c (its c cyclic shifts, each against the cone and its
+    mirror image), so an angle draws ceil(samples / 2c) vectors and reports
+    ``AngleValue.samples`` = 2c ceil(samples / 2c): 400,002 for 400,000 at
+    c = 3.
     """
 
     samples: int = 1_000_000
@@ -243,27 +246,31 @@ def _pair_stream(cfg: AngleConfig, eta_index: int, sigma_index: int, block: int)
 def _estimate_cone_fraction(
     solve_t: np.ndarray, cfg: AngleConfig, eta_index: int, sigma_index: int
 ) -> tuple[float, float, int]:
-    """Antithetic estimate of the cone's Gaussian measure p.
+    """Estimate of the cone's Gaussian measure p from 2c images per vector.
 
-    Returns (p, std_error, n), where n = 2 ceil(cfg.samples / 2) cone tests
-    were made on n / 2 Gaussian vectors.
+    Returns (p, std_error, n), where n = 2c ceil(cfg.samples / 2c) cone tests
+    were made on n / 2c Gaussian vectors (at least 2).
     """
     c = solve_t.shape[0]
-    vectors = -(-cfg.samples // 2)
-    hits = 0
+    images = 2 * c
+    vectors = max(-(-cfg.samples // images), 2)
+    hits = square_sum = 0
     done = 0
     block = 0
     while done < vectors:
         size = min(STREAM_BLOCK_VECTORS, vectors - done)
         rng = _pair_stream(cfg, eta_index, sigma_index, block)
-        hits += count_cone_hits(rng.standard_normal((size, c)), solve_t)
+        block_hits, block_squares = count_cone_hits(rng.standard_normal((size, c)), solve_t)
+        hits += block_hits
+        square_sum += block_squares
         done += size
         block += 1
-    n = 2 * vectors
+    n = images * vectors
     p = hits / n
-    # each vector adds a Bernoulli(2p) count (C and -C meet only at 0), so
-    # var(hits / n) = p (1 - 2p) / n
-    std_error = max(math.sqrt(p * (1.0 - 2.0 * p) / n), 1.0 / n)
+    # p is the mean of the per-vector count X over 2c; the sample variance of
+    # X, from exact integer sums, holds whether or not the images overlap
+    variance = (vectors * square_sum - hits * hits) / (vectors * (vectors - 1))
+    std_error = max(math.sqrt(variance / vectors) / images, 1.0 / n)
     return p, std_error, n
 
 

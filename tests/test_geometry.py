@@ -86,7 +86,7 @@ def test_regular_tetrahedron_vertex_angle_vs_oracle(solid_tet):
     assert abs(oracle - math.acos(23.0 / 27.0) / (4.0 * math.pi)) < 1e-12
     assert abs(estimate.value - oracle) < 4 * estimate.std_error
     assert estimate.method == "monte_carlo"
-    assert estimate.samples == 400_000
+    assert estimate.samples == 400_002  # 6 tests per vector at c = 3
 
 
 @settings(max_examples=10, deadline=None)
@@ -123,13 +123,14 @@ def test_seed_determinism(solid_tet):
 
 
 def test_block_split_invariance(solid_tet, monkeypatch):
-    # the estimate is a fixed function of (seed, pair); block size is internal
-    cfg = AngleConfig(samples=64_000, seed=9)
+    # the estimate is a fixed function of (seed, pair); block size is internal.
+    # 32,000 vectors of 6 tests each: one block of 64,000, or two of 16,000
+    cfg = AngleConfig(samples=192_000, seed=9)
     monkeypatch.setattr(geometry, "STREAM_BLOCK_VECTORS", 64_000)
     a = solid_angle((0,), (0, 1, 2, 3), solid_tet, cfg)
     monkeypatch.setattr(geometry, "STREAM_BLOCK_VECTORS", 16_000)
     b = solid_angle((0,), (0, 1, 2, 3), solid_tet, cfg)
-    assert a.samples == b.samples == 64_000
+    assert a.samples == b.samples == 192_000
     assert abs(a.value - b.value) < 4 * (a.std_error + b.std_error)
 
 
@@ -536,6 +537,41 @@ def test_random_simplex_takes_its_seed_by_the_integer_rule():
         random_simplex(3, seed=1.5)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (regular_simplex_points, "n"),
+        (solid_simplex, "n"),
+        (boundary_of_simplex, "n"),
+        (cross_polytope, "n"),
+        (random_simplex, "n"),
+        (lambda a: join_of_sphere_boundaries(a, 2), "a"),
+        (lambda b: join_of_sphere_boundaries(2, b), "b"),
+    ],
+    ids=[
+        "regular_simplex_points",
+        "solid_simplex",
+        "boundary_of_simplex",
+        "cross_polytope",
+        "random_simplex",
+        "join_of_sphere_boundaries-a",
+        "join_of_sphere_boundaries-b",
+    ],
+)
+def test_generators_take_their_dimension_by_the_integer_rule(build, name):
+    # random_simplex(3.0) raised numpy's TypeError, solid_simplex(True) built
+    # a 1-simplex and boundary_of_simplex("3") failed inside range
+    for bad in (3.0, True, "3"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            build(bad)
+    made, expected = build(np.int64(3)), build(3)
+    if isinstance(made, np.ndarray):
+        assert (made == expected).all()
+    else:
+        assert made.complex.maximal == expected.complex.maximal
+        assert all((made.coordinates[v] == p).all() for v, p in expected.coordinates.items())
+
+
 def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
     import simcurv.geometry as geometry
 
@@ -651,7 +687,7 @@ def test_fill_and_rank_accept_lists_and_numpy_ints(solid_tet):
         assert assignment.tier(simplex) == assignment.tier((0, 2))
 
 
-# -- the antithetic estimator -------------------------------------------------
+# -- the 2c-image estimator --------------------------------------------------
 
 
 @pytest.mark.parametrize("c", range(2, 7))
@@ -659,7 +695,7 @@ def test_orthant_fraction_within_four_sigma(c):
     from simcurv.geometry import _estimate_cone_fraction
 
     p, std_error, n = _estimate_cone_fraction(np.eye(c), AngleConfig(samples=200_000, seed=c), 0, 0)
-    assert n == 200_000
+    assert n == 2 * c * -(-200_000 // (2 * c))  # 200,004 at c = 3 and 6
     assert abs(p - 2.0**-c) < 4 * std_error
 
 
@@ -689,10 +725,35 @@ def test_z_scores_against_oracle_have_unit_spread(simplex_seed):
     assert abs(np.mean(z)) < 0.3
 
 
-def test_odd_sample_count_rounds_up_to_whole_pairs(solid_tet):
-    angle = solid_angle((0,), (0, 1, 2, 3), solid_tet, AngleConfig(samples=1001, seed=1))
-    assert angle.method == "monte_carlo"
-    assert angle.samples == 1002
+def test_sample_count_rounds_up_to_whole_sets_of_images(solid_tet):
+    # a vector gives 2c tests: 6 at c = 3, 8 at c = 4
+    from simcurv.geometry import _estimate_cone_fraction
+
+    for samples, tests in ((1000, 1002), (1001, 1002), (1002, 1002), (1003, 1008)):
+        angle = solid_angle((0,), (0, 1, 2, 3), solid_tet, AngleConfig(samples=samples, seed=1))
+        assert angle.method == "monte_carlo"
+        assert angle.samples == tests
+    _, _, n = _estimate_cone_fraction(np.eye(4), AngleConfig(samples=1001, seed=1), 0, 0)
+    assert n == 1008
+
+
+def test_shift_invariant_orthant_takes_sigma_from_the_count_variance():
+    # np.eye(3) is its own image under every shift, so the per-vector count
+    # X is 3 (z in C or in -C) or 0, never 1: sigma must come from var(X)
+    from simcurv.geometry import _estimate_cone_fraction, _pair_stream
+
+    cfg = AngleConfig(samples=200_000, seed=11)
+    p, std_error, n = _estimate_cone_fraction(np.eye(3), cfg, 0, 0)
+    vectors = n // 6
+    z = _pair_stream(cfg, 0, 0, 0).standard_normal((vectors, 3))
+    x = 3 * ((z >= 0).all(1).astype(int) + (z <= 0).all(1))
+    assert set(np.unique(x)) == {0, 3}
+    assert p == x.sum() / n
+    assert std_error == pytest.approx(math.sqrt(np.var(x, ddof=1) / vectors) / 6, rel=1e-12)
+    # each vector's 6 tests are its 2 antithetic tests three times over, so
+    # the variance is three times that of 2-test vectors at equal n
+    assert std_error**2 == pytest.approx(3 * p * (1 - 2 * p) / n, rel=1e-3)
+    assert abs(p - 1 / 8) <= 4 * std_error
 
 
 # -- stacked closed forms -----------------------------------------------------
@@ -833,6 +894,25 @@ def test_quadrature_holds_the_40_digit_references(cone):
     assert angle.method == "quadrature" and angle.std_error == 0.0
     assert 0.0 < angle.abs_error <= 1e-12
     assert abs(Fraction(angle.value) - Fraction(cone["angle"])) <= angle.abs_error
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "cone", [cone for cone in ORTHANT_REFERENCES["cones"] if cone["kind"] == "random"], ids=lambda cone: cone["name"]
+)
+def test_monte_carlo_is_calibrated_on_the_40_digit_references(cone, seed):
+    """The estimator's z-score against each random c = 4 and c = 5 reference
+    angle stays within 4 sigma: the default path sends these cones to
+    quadrature, so this is the Monte Carlo check of their overlapping
+    images (random_c5_2 has 2cp = 3.1)."""
+    from simcurv.geometry import _estimate_cone_fraction
+
+    generators = cone["generators"]
+    embedded = _cone_simplex(generators)
+    cone_generators = geometry.projected_cone_generators((0,), tuple(range(len(generators) + 1)), embedded)
+    solve_t = np.linalg.inv(cone_generators.T).T
+    p, std_error, _ = _estimate_cone_fraction(solve_t, AngleConfig(samples=200_000, seed=seed), 0, 0)
+    assert abs(p - float(Fraction(cone["angle"]))) <= 4 * std_error
 
 
 @pytest.mark.parametrize("c", [4, 5])
