@@ -8,17 +8,16 @@ coordinates (s = 0 is z itself).  P^s z is isotropic Gaussian like z, so
 every test has the cone's Gaussian measure p, and one Gaussian draw yields
 2c cone tests; P^s z is in -C exactly when every coefficient is
 non-positive.  The coefficients of P^s z are z times ``solve_t`` with its
-rows rolled by s, so each shift costs one (c, c) @ (c, rows) product, all c
-of them written into one (c, c, rows) array, whose sign tests then run as
-one comparison each.  (One stacked (c^2, c) product
-instead took 0.6-0.8 ms on 33,334 rows at c = 3 against 0.25 ms for the
-three separate ones, 2-vCPU VM.)
+rows rolled by s, so each shift costs one (c, c) @ (c, rows) product, and
+its sign tests go into one (c, c, rows) boolean array for all shifts.  (One
+stacked (c^2, c) product instead took 0.6-0.8 ms on 33,334 rows at c = 3
+against 0.25 ms for the three separate ones, 2-vCPU VM.)
 
 The images may overlap (a wide cone, or one the shift maps to itself), so
 the count returns the sums of the per-direction count X in {0, ..., 2c} and
 of X^2, from which the caller takes the sample variance of X.
 
-Each product is formed as ``rolled @ chunk.T``, a (c, rows) array whose
+Each product is formed as ``rolled[s] @ chunk.T``, a (c, rows) array whose
 rows are the coefficients, so each sign test runs over contiguous memory
 instead of the strided columns of a (rows, c) product.
 
@@ -43,12 +42,12 @@ BLAS_SINGLE_THREAD_MNK = 1 << 18
 
 def count_chunk_rows(c: int) -> int:
     """Rows per chunk at codimension c: the most with rows * c^3 <= 2^18
-    (9709 rows at c = 3, 512 at c = 8).  Even the c products of a chunk as
-    one stacked (c^2, c) @ (c, rows) product would stay under OpenBLAS's
-    single-thread cutoff, and the chunk's (c, c, rows) coefficients, at most
-    2 MiB / c, stay in L2: at c = 8, 4096-row chunks took 3.7 ms on 12,500
-    rows against 1.8 ms for 512-row ones."""
-    return BLAS_SINGLE_THREAD_MNK // c**3
+    (9709 rows at c = 3, 512 at c = 8), and at least one.  Even the c
+    products of a chunk as one stacked (c^2, c) @ (c, rows) product would
+    stay under OpenBLAS's single-thread cutoff, and the chunk's buffers stay
+    in L2: at c = 8, 4096-row chunks took 3.7 ms on 12,500 rows against
+    1.8 ms for 512-row ones."""
+    return max(BLAS_SINGLE_THREAD_MNK // c**3, 1)
 
 
 def count_cone_hits(samples: np.ndarray, solve_t: np.ndarray) -> tuple[int, int]:
@@ -70,30 +69,34 @@ def count_cone_hits(samples: np.ndarray, solve_t: np.ndarray) -> tuple[int, int]
     shifts = (np.arange(c)[None, :] - np.arange(c)[:, None]) % c
     rolled = solve_t[shifts].swapaxes(1, 2).copy()
     rows = min(count_chunk_rows(c), max(samples.shape[0], 1))
-    # one set of buffers for all chunks: allocating them chunk by chunk cost
-    # a page fault per 4 KiB, which doubled the count's time in threads
-    m = np.empty((c, c, rows))
+    # one set of buffers for all chunks, the coefficients one shift at a
+    # time: larger or per-chunk buffers left glibc returning freed pages to
+    # the system after each angle, and the page faults on reuse doubled the
+    # count's time in the fill threads
+    m = np.empty((c, rows))
     inside = np.empty((c, c, rows), dtype=bool)
     mirror = np.empty((c, c, rows), dtype=bool)
-    x = np.empty(rows, dtype=np.uint8)
-    x_mirror = np.empty(rows, dtype=np.uint8)
+    # X <= 2c and X^2 fit these for any c whose solver fits in memory
+    x = np.empty(rows, dtype=np.uint16)
+    x_mirror = np.empty(rows, dtype=np.uint16)
     hits = square_sum = 0
     for start in range(0, samples.shape[0], rows):
         z_t = samples[start : start + rows].T
         if z_t.shape[1] < rows:
             m, inside, mirror, x, x_mirror = (a[..., : z_t.shape[1]] for a in (m, inside, mirror, x, x_mirror))
-        # m[s, k] holds coefficient k of shift s for every row of the chunk
+        # inside[s, k] and mirror[s, k]: the sign tests of coefficient k of
+        # shift s, for every row of the chunk
         for s in range(c):
-            np.matmul(rolled[s], z_t, out=m[s])
-        np.greater_equal(m, 0.0, out=inside)
-        np.less_equal(m, 0.0, out=mirror)
+            np.matmul(rolled[s], z_t, out=m)
+            np.greater_equal(m, 0.0, out=inside[s])
+            np.less_equal(m, 0.0, out=mirror[s])
         # AND each shift's sign tests into its coefficient 0
         for k in range(1, c):
             inside[:, 0] &= inside[:, k]
             mirror[:, 0] &= mirror[:, k]
-        np.add.reduce(inside[:, 0], axis=0, dtype=np.uint8, out=x)
-        np.add.reduce(mirror[:, 0], axis=0, dtype=np.uint8, out=x_mirror)
+        np.add.reduce(inside[:, 0], axis=0, dtype=np.uint16, out=x)
+        np.add.reduce(mirror[:, 0], axis=0, dtype=np.uint16, out=x_mirror)
         x += x_mirror
         hits += int(x.sum())
-        square_sum += int(np.square(x, dtype=np.uint16).sum())
+        square_sum += int(np.square(x, dtype=np.uint32).sum())
     return hits, square_sum

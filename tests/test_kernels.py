@@ -54,6 +54,7 @@ def test_zero_rows_pass_all_2c_tests():
         hits, square_sum = count_cone_hits(z, solve_t)
         assert (hits, square_sum) == reference_count(z, solve_t)
         rest_hits, rest_squares = count_cone_hits(z[np.arange(1000) % 5 >= 2], solve_t)
+        assert count_cone_hits(z[:0], solve_t) == (0, 0)
         assert hits == rest_hits + zeros * 2 * c
         assert square_sum == rest_squares + zeros * (2 * c) ** 2
 
@@ -79,11 +80,26 @@ def test_count_matches_row_reduction_at_its_own_chunk_edges(c):
 
 @pytest.mark.parametrize("c", range(1, 9))
 def test_chunk_products_stay_under_the_single_thread_cutoff(c):
-    # the stacked product is (c^2, c) @ (c, rows): m * n * k = rows * c^3
+    # a chunk's c products as one stacked (c^2, c) @ (c, rows) product:
+    # m * n * k = rows * c^3
     assert BLAS_SINGLE_THREAD_MNK == 1 << 18
     rows = count_chunk_rows(c)
     assert rows >= 1
     assert rows * c**3 <= 1 << 18 < (rows + 1) * c**3
+
+
+def test_count_works_past_the_cutoff_and_the_byte_range():
+    # at c = 130 no chunk fits the cutoff, and a zero row's X = 260 and its
+    # square overflow 8 and 16 bits.  Under the identity solver every shift
+    # of a negative row is in -C alone (X = 130), and a row with entries of
+    # both signs is in no image (X = 0)
+    c = 130
+    assert count_chunk_rows(c) == 1
+    z = -np.abs(np.random.Generator(np.random.Philox(c)).standard_normal((3, c)))
+    z[1] = 0.0
+    z[2, 5] = 1.0
+    assert count_cone_hits(z, np.eye(c)) == (260 + 130, 260**2 + 130**2)
+    assert count_cone_hits(z, np.eye(c)) == reference_count(z, np.eye(c))
 
 
 def test_half_line_counts_each_nonzero_row_once():
