@@ -29,12 +29,13 @@ intrinsically in the affine hull of the simplex:
   sqrt(p (1 - 2cp) / N) while the 2c images are disjoint and larger where
   they overlap, with a floor of 1 / N.
 
-Closed forms and quadratures are computed in stacks.  ``AngleCache.fill``
-groups the pairs it is given by codimension and face size; each group gets
-its barycenters, face bases and cone bases from one stacked SVD and matmul,
-and its quadrature from one (pairs x nodes) array per level, with the same
-checks and the same bits as one pair at a time, and ``solid_angle`` runs a
-stack of one.  Only Monte Carlo pairs go to the thread pool.
+Every pair is set up in a stack.  ``AngleCache.fill`` groups the pairs it
+is given by codimension and face size; each group gets its barycenters,
+face bases and cone bases from one stacked SVD and matmul, its cone solvers
+from one stacked inverse, and its quadrature from one (pairs x nodes) array
+per level, with the same checks and the same bits as one pair at a time,
+and ``solid_angle`` runs a stack of one.  Only the sampling and counting of
+Monte Carlo pairs go to the thread pool, each pair with its solver.
 
 The thread pool is process-wide: one ``ThreadPoolExecutor`` per worker
 count, started on first use and kept, so a fill of a few Monte Carlo pairs
@@ -434,26 +435,22 @@ def _orthant_quadrature(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0**-c + values, errors
 
 
-def _quadrature_angles(generators: np.ndarray) -> list[AngleValue | None]:
-    """Angles of a (k, c, c) stack of cone generators at c = 4 or 5 as
-    orthant probabilities: P(m >= 0) for m ~ N(0, R), R the correlation
-    matrix of the columns of ``solve_t``, the matrix the Monte Carlo count
-    tests samples against.
+def _quadrature_angles(solve_t: np.ndarray) -> list[AngleValue | None]:
+    """Angles at c = 4 or 5 of a (k, c, c) stack of cone solvers ``solve_t``,
+    the matrices the Monte Carlo count tests samples against, as orthant
+    probabilities: P(m >= 0) for m ~ N(0, R), R the correlation matrix of
+    the columns of ``solve_t``.
 
     Each angle's ``abs_error`` is the difference of its last two quadrature
     levels plus eps cond(R), a bound on what rounding R and the integrand
     costs; a pair whose bound exceeds ``_QUAD_MAX_ERROR`` gets None, and so
     its Monte Carlo estimate.
     """
-    try:
-        solve_t = np.linalg.inv(generators.swapaxes(1, 2)).swapaxes(1, 2)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("singular cone generators") from exc
     covariance = solve_t.swapaxes(1, 2) @ solve_t
     scale = 1.0 / np.sqrt(np.diagonal(covariance, axis1=1, axis2=2))
     rho = covariance * scale[:, :, None] * scale[:, None, :]
     rounding = np.finfo(float).eps * np.linalg.cond(rho)
-    angles: list[AngleValue | None] = [None] * len(generators)
+    angles: list[AngleValue | None] = [None] * len(solve_t)
     rows = np.flatnonzero(rounding <= _QUAD_MAX_ERROR)
     for start in range(0, rows.size, _QUAD_CHUNK_ROWS):
         chunk = rows[start : start + _QUAD_CHUNK_ROWS]
@@ -464,42 +461,42 @@ def _quadrature_angles(generators: np.ndarray) -> list[AngleValue | None]:
     return angles
 
 
-# The deterministic angles, keyed by codimension: each maps a (k, c, c) stack
-# of cone generators to k angles, None where a quadrature bound is too large.
-# A simplex along itself has the angle 1 and along a facet 1/2; codimension 2
-# is a wedge and 4 and 5 are quadratures.  Codimension 3 and codimensions 6
-# and up are estimated by Monte Carlo.
+# The closed forms, keyed by codimension: each maps a (k, c, c) stack of cone
+# generators to k angles.  A simplex along itself has the angle 1 and along a
+# facet 1/2; codimension 2 is a wedge.
 _CLOSED_FORMS = {
     0: lambda generators: [AngleValue(1.0, 0.0, "exact")] * len(generators),
     1: lambda generators: [AngleValue(0.5, 0.0, "exact")] * len(generators),
     2: _wedge_angles,
-    4: _quadrature_angles,
-    5: _quadrature_angles,
 }
 
 
-def _closed_form_angles(
-    pairs: Iterable[tuple[Simplex, Simplex]], embedded: EmbeddedComplex
-) -> dict[tuple[Simplex, Simplex], AngleValue]:
-    """Deterministic angles of those canonical (face, simplex) pairs whose
-    codimension has a closed form or a quadrature; the other pairs, and
-    quadrature pairs whose error bound is too large, are left out of the
-    result.
+def _stacked_angles(
+    pairs: Sequence[tuple[Simplex, Simplex]], embedded: EmbeddedComplex
+) -> tuple[list[AngleValue | None], np.ndarray | None]:
+    """The angles of canonical (face, simplex) pairs that share one face size
+    and one codimension c, from one stacked set-up: their cone generators,
+    with every check ``projected_cone_generators`` makes, and at c >= 3
+    their solvers ``solve_t`` from one stacked inverse, a (k, c, c) array.
 
-    Pairs are grouped by codimension and face size, and each group's cone
-    generators are computed as one stack, with every check that
-    ``projected_cone_generators`` makes.
+    An angle is None where Monte Carlo estimates it: at c = 3 and c >= 6,
+    and at c = 4 and 5 where the quadrature bound is too large.
+    ``solid_angle`` samples such a pair with its row of ``solve_t``.
     """
-    groups: dict[tuple[int, int], list[tuple[Simplex, Simplex]]] = {}
-    for eta, sigma in pairs:
-        c = len(sigma) - len(eta)
-        if c in _CLOSED_FORMS:
-            groups.setdefault((c, len(eta)), []).append((eta, sigma))
-    values = {}
-    for (c, _), group in groups.items():
-        angles = _CLOSED_FORMS[c](_cone_generators(group, embedded))
-        values.update((pair, angle) for pair, angle in zip(group, angles) if angle is not None)
-    return values
+    generators = _cone_generators(pairs, embedded)
+    c = generators.shape[1]
+    if c in _CLOSED_FORMS:
+        return _CLOSED_FORMS[c](generators), None
+    try:
+        solve_t = np.linalg.inv(generators.swapaxes(1, 2)).swapaxes(1, 2)
+    except np.linalg.LinAlgError:
+        for pair, matrix in zip(pairs, generators):  # name the first singular pair
+            try:
+                np.linalg.inv(matrix.T)
+            except np.linalg.LinAlgError as exc:
+                raise GeometryError(f"singular cone generators for {pair}") from exc
+        raise
+    return (_quadrature_angles(solve_t) if c in (4, 5) else [None] * len(pairs)), solve_t
 
 
 def solid_angle(
@@ -507,28 +504,25 @@ def solid_angle(
     sigma: Simplex,
     embedded: EmbeddedComplex,
     cfg: AngleConfig | None = None,
+    solve_t: np.ndarray | None = None,
 ) -> AngleValue:
     """Normalized solid angle of ``sigma`` along its face ``eta``.
 
     The value only depends on the intrinsic geometry of sigma, never on the
-    ambient embedding dimension.
+    ambient embedding dimension.  The pair is set up as a stack of one, as
+    ``AngleCache.fill`` sets up each group.  ``fill`` passes a Monte Carlo
+    pair its (c, c) solver ``solve_t`` from its group's stacked set-up, and
+    then the call only samples and counts.
     """
     cfg = cfg or AngleConfig()
     pair = (as_simplex(eta), as_simplex(sigma))
-    exact = _closed_form_angles([pair], embedded)
-    if exact:
-        return exact[pair]
-    generators = projected_cone_generators(*pair, embedded)
-    try:
-        solve_t = np.linalg.inv(generators.T).T
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError(f"singular cone generators for ({eta}, {sigma})") from exc
-    value, std_error, samples = _estimate_cone_fraction(
-        solve_t,
-        cfg,
-        embedded.complex.index_of(pair[0]),
-        embedded.complex.index_of(pair[1]),
-    )
+    if solve_t is None:
+        (angle,), solvers = _stacked_angles([pair], embedded)
+        if angle is not None:
+            return angle
+        solve_t = solvers[0]
+    index_of = embedded.complex.index_of
+    value, std_error, samples = _estimate_cone_fraction(solve_t, cfg, index_of(pair[0]), index_of(pair[1]))
     return AngleValue(value, std_error, "monte_carlo", samples=samples)
 
 
@@ -570,23 +564,41 @@ class AngleCache:
         return self._values[key]
 
     def fill(self, pairs: Iterable[tuple[Simplex, Simplex]]) -> None:
-        """Compute a batch of pairs: closed-form pairs inline, one stacked
-        computation per codimension and face size, and Monte Carlo pairs in
-        parallel when configured.
+        """Compute a batch of pairs: one stacked set-up per codimension and
+        face size (see ``_stacked_angles``) gives the closed forms and
+        quadratures inline and each Monte Carlo pair its solver, and the
+        Monte Carlo pairs are then sampled in parallel when configured.
+        Every pair is checked before any is sampled, and a pair cached as
+        given is skipped without being converted.
 
         Results are identical to sequential evaluation: each Monte Carlo pair
         draws from its own counter-based stream.  The worker threads belong
         to a process-wide pool per worker count, kept from one fill to the
         next.
         """
-        canonical = self.embedded.complex.canonical
-        pending = sorted({(canonical(e), canonical(s)) for e, s in pairs} - self._values.keys())
-        self._values.update(_closed_form_angles(pending, self.embedded))
-        todo = [pair for pair in pending if pair not in self._values]
+        values, canonical = self._values, self.embedded.complex.canonical
+        # only tuples are looked up as given: a list or array does not hash
+        pending = {
+            (canonical(e), canonical(s))
+            for e, s in pairs
+            if not (type(e) is tuple and type(s) is tuple and (e, s) in values)
+        }
+        groups: dict[tuple[int, int], list[tuple[Simplex, Simplex]]] = {}
+        for eta, sigma in sorted(pending - values.keys()):
+            groups.setdefault((len(sigma) - len(eta), len(eta)), []).append((eta, sigma))
+        todo = []
+        for group in groups.values():
+            angles, solve_t = _stacked_angles(group, self.embedded)
+            for n, (pair, angle) in enumerate(zip(group, angles)):
+                if angle is None:
+                    todo.append((*pair, solve_t[n]))
+                else:
+                    values[pair] = angle
         workers = min(self.cfg.resolved_threads(), len(todo))
         mapper = _pool(workers).map if workers > 1 else map
-        results = mapper(lambda pair: solid_angle(*pair, self.embedded, self.cfg), todo)
-        self._values.update(zip(todo, results))
+        # one solid_angle call per Monte Carlo angle, looked up at call time
+        results = mapper(lambda job: solid_angle(job[0], job[1], self.embedded, self.cfg, job[2]), todo)
+        values.update(zip((job[:2] for job in todo), results))
 
 
 def _require_cache(

@@ -847,14 +847,81 @@ def test_thin_dihedral_angle_is_not_rounded_away():
         (((0, 1, 4), (0, 1, 4)), KeyError),  # not in the complex
         (((0, 1), (0, 1, 4)), KeyError),
         (((0,), (0, 1, 4)), KeyError),
+        (((4,), (0, 1, 2, 3)), GeometryError),  # codimension 3, Monte Carlo
+        (((0,), (0, 1, 2, 4)), KeyError),
     ],
 )
-def test_fill_checks_closed_form_pairs(solid_tet, pair, error):
-    good = [((0, 1), (0, 1, 2, 3)), ((0, 1, 2), (0, 1, 2, 3))]
-    with pytest.raises(error):
-        AngleCache(solid_tet, FAST).fill(good + [pair])
+def test_fill_checks_closed_form_pairs(monkeypatch, solid_tet, pair, error):
+    # every pair is checked before any Monte Carlo pair is sampled
+    counted = []
+    real = geometry.count_cone_hits
+
+    def recording(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "count_cone_hits", recording)
+    good = [((0, 1), (0, 1, 2, 3)), ((0, 1, 2), (0, 1, 2, 3)), ((1,), (0, 1, 2, 3)), ((2,), (0, 1, 2, 3))]
+    for threads in (1, 2):
+        with pytest.raises(error):
+            AngleCache(solid_tet, AngleConfig(samples=2000, seed=7, threads=threads)).fill(good + [pair])
     with pytest.raises(error):
         solid_angle(*pair, solid_tet, FAST)
+    assert counted == []
+
+
+def test_a_singular_solver_names_its_pair(monkeypatch, solid_tet):
+    # the stacked inverse fails as a whole; the error still names the pair
+    bad = geometry.projected_cone_generators((2,), (0, 1, 2, 3), solid_tet).T
+    real = np.linalg.inv
+
+    def inverse(a):
+        if any((m == bad).all() for m in np.reshape(a, (-1, 3, 3))):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inverse)
+    pairs = [((v,), (0, 1, 2, 3)) for v in range(4)]
+    with pytest.raises(GeometryError, match=re.escape("singular cone generators for ((2,), (0, 1, 2, 3))")):
+        AngleCache(solid_tet, FAST).fill(pairs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("build", [lambda: random_simplex(6), triple_book], ids=["random6", "book"])
+def test_stacked_solvers_give_the_per_pair_bits(build, threads):
+    # random_simplex(6) samples codimension 3 at face size 4 and 6 at face
+    # size 1; the book samples codimension 3
+    embedded = build()
+    cfg = AngleConfig(samples=2000, seed=11, threads=threads)
+    cache = AngleCache(embedded, cfg)
+    cache.fill(top_angle_pairs(embedded.complex))
+    sampled = [pair for pair, angle in cache._values.items() if angle.method == "monte_carlo"]
+    assert sampled
+    for pair in sampled:
+        assert cache._values[pair] == solid_angle(*pair, embedded, cfg)
+
+
+def test_a_refill_of_cached_pairs_computes_nothing(monkeypatch):
+    five = random_simplex(5, seed=4)
+    pairs = top_angle_pairs(five.complex)
+    cache = AngleCache(five, AngleConfig(samples=2000, seed=4, threads=2))
+    cache.fill(pairs)
+    before = dict(cache._values)
+    calls = []
+    for owner, name in [
+        (SimplicialComplex, "canonical"),
+        (geometry, "_cone_generators"),
+        (geometry, "solid_angle"),
+    ]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    cache.fill(pairs)
+    assert calls == []
+    # lists and numpy ints are converted, and then found cached
+    cache.fill([(list(eta), np.array(sigma)) for eta, sigma in pairs])
+    cache.fill([(tuple(np.int64(v) for v in eta), sigma) for eta, sigma in pairs])
+    assert set(calls) == {"canonical"}
+    assert cache._values == before
 
 
 def _rotation(dim, seed):
@@ -916,6 +983,29 @@ def test_monte_carlo_is_calibrated_on_the_40_digit_references(cone, seed):
 
 
 @pytest.mark.parametrize("c", [4, 5])
+def test_a_fallback_pair_gets_one_quadrature(monkeypatch, c):
+    """The near-collinear s = 1e-6 cone fails its quadrature bound, so it is
+    sampled, with the solver of the fill's set-up: the quadrature judges the
+    pair once."""
+    (cone,) = [cone for cone in ORTHANT_REFERENCES["cones"] if cone["name"] == f"near_collinear_c{c}_s1e-06"]
+    embedded = _cone_simplex(cone["generators"])
+    rows = []
+    real = geometry._quadrature_angles
+
+    def recording(solve_t):
+        rows.append(len(solve_t))
+        return real(solve_t)
+
+    monkeypatch.setattr(geometry, "_quadrature_angles", recording)
+    pair = ((0,), tuple(range(c + 1)))
+    cache = AngleCache(embedded, FAST)
+    cache.fill([pair])
+    assert cache._values[pair].method == "monte_carlo"
+    assert rows == [1]
+    assert solid_angle(*pair, embedded, FAST) == cache._values[pair]
+
+
+@pytest.mark.parametrize("c", [4, 5])
 def test_quadrature_meets_equicorrelated_and_orthant_cones(c):
     # the c + 1 cones from the centre of a regular c-simplex over its facets
     # tile R^c, and their dual bases have correlation 1/2 throughout
@@ -954,9 +1044,10 @@ def test_sign_flipped_cones_sum_to_one(dim, seed):
     # the 2^c cones spanned by +-g_1, ..., +-g_c tile R^c
     embedded = random_simplex(dim, seed=seed)
     sigma = tuple(range(dim + 1))
-    generators = geometry.projected_cone_generators((0,), sigma, embedded)
+    solve_t = np.linalg.inv(geometry.projected_cone_generators((0,), sigma, embedded).T).T
     signs = np.array(list(product([1.0, -1.0], repeat=dim)))
-    angles = geometry._quadrature_angles(signs[:, :, None] * generators)
+    # flipping generator i flips column i of the solver
+    angles = geometry._quadrature_angles(solve_t * signs[:, None, :])
     assert all(angle.method == "quadrature" for angle in angles)
     assert math.fsum(angle.value for angle in angles) == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
