@@ -9,12 +9,15 @@ forms over (face, top-simplex) angle pairs, with integer numerators over one
 denominator per form, and evaluated once against a shared angle cache.
 Identical pairs therefore cancel exactly, and the reported standard error is
 the propagated error of the independent Monte Carlo estimates that actually
-remain in the combination.  Each form builder picks an even denominator
-(4 times the weight's denominator for ascending forms, 2 lcm(1, ..., n - 1)
-for stratified ones), so every rank r/2 times a scale is an integer.
+remain in the combination.  Each kind is a weight rule, ``_weights``: an
+even numerator per coface dimension over an even denominator (2 for the
+defect, 4 times the weight's denominator for ascending forms,
+2 lcm(1, ..., n - 1) for stratified ones), and ``_form`` builds every kind
+from it in one walk of the star.
 
-Ranks enter as integers, ``scale // 2 * r``, from the stratum index r
-alone.  The angles of codimension 0 and 1 are the constants 1 and 1/2, and
+A coface's rank enters with its numerator, ``scale``, as the integer
+``scale // 2 * r`` from the stratum index r alone.  The angles of
+codimension 0 and 1 are the constants 1 and 1/2, and
 ``_AngleForm.add_angles`` folds them into the form's constant, so the
 defects of simplices of codimension <= 1 go whole into the constant: forms
 hold only pairs of codimension >= 2, which the fill computes and the
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, ClassVar, Iterable
 
@@ -61,76 +65,56 @@ WeightFn = Callable[[int], Fraction]
 
 DEFAULT_Z = 4.0
 DEFAULT_ABS_TOL = 1e-9
+_KINDS = ("defect", "stratified", "ascending")
 
 
 class HypothesisError(ValueError):
     """A theorem's hypothesis fails on the given complex."""
 
 
-def _add_defects(
-    form: _AngleForm,
-    eta: Simplex,
-    scale: int,
-    complex: SimplicialComplex,
-    assignment: StratumAssignment,
-) -> None:
-    """Add ``scale / form.den`` times the angle defect of eta (rank(eta) = r/2
-    minus the angles of its top cofaces) to ``form``.
-
-    ``scale`` is an even integer numerator, so ``scale`` times r/2 is an
-    integer, and ``_AngleForm.add_angles`` can take the constant angles 1
-    and 1/2 of codimension 0 and 1 into ``form.const``.  Otherwise none of
-    eta's pairs may be in the form yet.
-    """
-    form.const += scale // 2 * assignment.r(eta)
-    form.add_angles(eta, complex.top_cofaces(eta), -scale)
-
-
-def _defect_form(
-    eta: Simplex, complex: SimplicialComplex, assignment: StratumAssignment
-) -> _AngleForm:
-    form = _AngleForm(den=2)
-    _add_defects(form, eta, 2, complex, assignment)
-    return form
+@lru_cache(maxsize=256)
+def _weights(kind: str, p: int, n: int, weights: WeightFn) -> tuple[int, tuple[int, ...]]:
+    """One row of K = M D: the curvature ``kind`` of a p-simplex of an
+    n-complex as an even denominator and, per coface dimension 0..n, an even
+    numerator that scales the angle defects of those cofaces."""
+    scales = [0] * (n + 1)
+    if kind == "defect":
+        scales[p] = den = 2
+    elif kind == "stratified":
+        # (-1)^i / (i + 1) for i <= n - 2, over 2 lcm(1, ..., n - 1)
+        den = 2 * math.lcm(*range(1, n))
+        for i in range(n - 1):
+            scales[i] = (-1) ** i * den // (i + 1)
+    else:
+        # a_p = 4 a_p.numerator / den on tau, a_p / 2 times (-1)^(i - p) above it
+        a_p = weights(p)
+        den = 4 * a_p.denominator
+        scales[p] = 4 * a_p.numerator
+        for i in range(p + 1, n + 1):
+            scales[i] = (-1) ** (i - p) * 2 * a_p.numerator
+    return den, tuple(scales)
 
 
-def _ascending_form(
+def _form(
+    kind: str,
     tau: Simplex,
     complex: SimplicialComplex,
     assignment: StratumAssignment,
     weights: WeightFn = angle_defect_term,
 ) -> _AngleForm:
+    """The curvature ``kind`` of tau as a form: the ``_weights`` of each
+    coface eta times its defect, rank(eta) = r/2 minus the angles of its top
+    cofaces.  The star is walked only when a coface above tau is weighted;
+    no two cofaces share a pair, as ``_AngleForm.add_angles`` requires."""
     p = len(tau) - 1
-    a_p = weights(p)
-    if a_p == 0:
-        return _AngleForm()
-    # a_p = 4 a_p.numerator / den and a_p / 2 = 2 a_p.numerator / den
-    form = _AngleForm(den=4 * a_p.denominator)
-    _add_defects(form, tau, 4 * a_p.numerator, complex, assignment)
-    half = (2 * a_p.numerator, -2 * a_p.numerator)  # a_p / 2 times (-1)^(i - p)
-    for eta in complex.star(tau):
-        i = len(eta) - 1
-        if i > p:
-            _add_defects(form, eta, half[(i - p) % 2], complex, assignment)
-    return form
-
-
-def _stratified_form(
-    v: Simplex, complex: SimplicialComplex, assignment: StratumAssignment
-) -> _AngleForm:
-    # weights (-1)^i / (i + 1) for i <= n - 2, over the even denominator
-    # 2 lcm(1, ..., n - 1)
-    den = 2 * math.lcm(*range(1, complex.dim))
-    scales = [(-1) ** i * den // (i + 1) for i in range(complex.dim - 1)]
+    den, scales = _weights(kind, p, complex.dim, weights)
     form = _AngleForm(den=den)
-    for eta in complex.star(v):
-        i = len(eta) - 1
-        if i <= complex.dim - 2:
-            _add_defects(form, eta, scales[i], complex, assignment)
+    for eta in complex.star(tau) if any(scales[p + 1 :]) else (tau,):
+        scale = scales[len(eta) - 1]
+        if scale:
+            form.const += scale // 2 * assignment.r(eta)
+            form.add_angles(eta, complex.top_cofaces(eta), -scale)
     return form
-
-
-_FORMS = {"defect": _defect_form, "stratified": _stratified_form, "ascending": _ascending_form}
 
 
 def _require_assignment(
@@ -161,11 +145,12 @@ def _curvature(
     cfg: AngleConfig | None,
     cache: AngleCache | None,
 ) -> CurvatureValue:
-    """The curvature of one simplex by the form builder ``_FORMS[kind]``,
-    filled and evaluated."""
+    """The curvature ``kind`` of one simplex by ``_form``, filled and
+    evaluated; a simplex not in the complex raises ``KeyError``."""
     simplex = as_simplex(simplex)
+    embedded.complex._require(simplex)
     assignment = _require_assignment(embedded, assignment)
-    form = _FORMS[kind](simplex, embedded.complex, assignment)
+    form = _form(kind, simplex, embedded.complex, assignment)
     return _evaluate(_require_cache(embedded, cfg, cache), {simplex: form})[simplex]
 
 
@@ -220,12 +205,12 @@ def curvature_table(
     generalized angle defect ("defect") or the ascending curvature
     ("ascending") of every simplex, or the stratified curvature
     ("stratified") of every vertex, in canonical order."""
-    if kind not in _FORMS:
-        raise ValueError(f"unknown curvature kind {kind!r}; expected {', '.join(_FORMS)}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown curvature kind {kind!r}; expected {', '.join(_KINDS)}")
     complex = embedded.complex
     assignment = _require_assignment(embedded, assignment)
     targets = complex.simplices(0 if kind == "stratified" else None)
-    forms = {s: _FORMS[kind](s, complex, assignment) for s in targets}
+    forms = {s: _form(kind, s, complex, assignment) for s in targets}
     return list(_evaluate(AngleCache(embedded, cfg), forms).items())
 
 
@@ -301,7 +286,7 @@ def gauss_bonnet_check(
     if complex.dim < 2:
         raise ValueError("Gauss-Bonnet check needs dimension >= 2")
     assignment = _require_assignment(embedded, assignment)
-    forms = {tau: _ascending_form(tau, complex, assignment, weights) for tau in complex.simplices()}
+    forms = {tau: _form("ascending", tau, complex, assignment, weights) for tau in complex.simplices()}
     total = _AngleForm()
     for tau, form in forms.items():
         total.add(form, (-1) ** (len(tau) - 1))
@@ -363,7 +348,7 @@ def vanishing_check(
             f"link hypothesis fails on {len(violations)} simplices: {violations[:5]}"
         )
     assignment = _require_assignment(embedded, assignment)
-    forms = {tau: _ascending_form(tau, complex, assignment) for tau in complex.simplices()}
+    forms = {tau: _form("ascending", tau, complex, assignment) for tau in complex.simplices()}
     rows = []
     exact_failures = 0
     for tau, cv in _evaluate(_require_cache(embedded, cfg, cache), forms).items():

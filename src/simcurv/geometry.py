@@ -161,12 +161,15 @@ class EmbeddedComplex:
         ambient_dim: int | None = None,
     ):
         self.complex = complex
-        coords = {int(v): np.asarray(p, dtype=float) for v, p in coordinates.items()}
+        coords = {_integer(v, "vertex id"): np.asarray(p, float) for v, p in coordinates.items()}
         dims = {p.shape for p in coords.values()}
         if len(dims) > 1:
             raise GeometryError(f"inconsistent coordinate lengths: {dims}")
+        finite = np.isfinite(np.array(list(coords.values()))).all(axis=-1)
+        if not finite.all():
+            raise GeometryError(f"vertex {list(coords)[finite.argmin()]} has a non-finite coordinate")
         d = next(iter(dims))[0] if dims else 0
-        self.ambient_dim = ambient_dim if ambient_dim is not None else d
+        self.ambient_dim = _integer(ambient_dim, "ambient_dim") if ambient_dim is not None else d
         if dims and self.ambient_dim != d:
             raise GeometryError(
                 f"ambient_dim {self.ambient_dim} does not match coordinates of length {d}"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,9 +11,7 @@ import simcurv.curvature as curvature_module
 from simcurv.complexes import SimplicialComplex
 from simcurv.curvature import (
     HypothesisError,
-    _ascending_form,
-    _defect_form,
-    _stratified_form,
+    _form,
     _verdict,
     ascending_stratified_curvature,
     carrier_alternating_sum,
@@ -28,7 +27,12 @@ from simcurv.curvature import (
     vanishing_check,
     vanishing_hypothesis_check,
 )
-from simcurv.generators import boundary_of_simplex, random_simplex, solid_simplex
+from simcurv.generators import (
+    boundary_of_simplex,
+    join_of_sphere_boundaries,
+    random_simplex,
+    solid_simplex,
+)
 from simcurv.geometry import (
     AngleCache,
     AngleConfig,
@@ -359,6 +363,20 @@ def test_curvature_table_rejects_unknown_kind(sphere2):
         curvature_table(sphere2, "gaussian")
 
 
+@pytest.mark.parametrize(
+    "curvature, simplex",
+    [
+        (generalized_angle_defect, (0, 9)),
+        (ascending_stratified_curvature, (0, 9)),  # a_1 = 0 weighs no coface
+        (stratified_curvature_at_vertex, 9),
+    ],
+)
+def test_every_curvature_rejects_a_simplex_not_in_the_complex(sphere2, curvature, simplex):
+    name = (simplex,) if simplex == 9 else simplex
+    with pytest.raises(KeyError, match=re.escape(f"simplex {name} is not in the complex")):
+        curvature(simplex, sphere2, cfg=CFG)
+
+
 def _reference_defect_form(eta, complex, assignment):
     rank = assignment.rank(eta)
     form = _AngleForm(const=rank.numerator, den=rank.denominator)
@@ -417,20 +435,22 @@ def _folded_fractions(form):
 )
 def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, weights):
     sd_sphere2 = barycentric_subdivide(boundary_of_simplex(3)).refined
-    for embedded in (sphere3, book, join_sphere3, sd_sphere2):
+    # dimension 5 builds the stratified denominator 24 and the weight a_4
+    sphere5, join_sphere5 = boundary_of_simplex(6), join_of_sphere_boundaries(3, 3)
+    for embedded in (sphere3, book, join_sphere3, sd_sphere2, sphere5, join_sphere5):
         complex = embedded.complex
         assignment = stratify(complex)
         pairs = [
-            (_ascending_form(s, complex, assignment, weights),
+            (_form("ascending", s, complex, assignment, weights),
              _merged_ascending_form(s, complex, assignment, weights))
             for s in complex.simplices()
         ]
         pairs += [
-            (_stratified_form(v, complex, assignment), _merged_stratified_form(v, complex, assignment))
+            (_form("stratified", v, complex, assignment), _merged_stratified_form(v, complex, assignment))
             for v in complex.simplices(0)
         ]
         pairs += [
-            (_defect_form(s, complex, assignment), _reference_defect_form(s, complex, assignment))
+            (_form("defect", s, complex, assignment), _reference_defect_form(s, complex, assignment))
             for s in complex.simplices()
         ]
         for form, reference in pairs:
@@ -635,8 +655,8 @@ def test_forms_hold_no_pair_of_codimension_at_most_one(monkeypatch, sphere3, boo
     for embedded, assignment in _folding_cases(sphere3, book, join_sphere3):
         complex = embedded.complex
         for s in complex.simplices():
-            forms += [_defect_form(s, complex, assignment), _ascending_form(s, complex, assignment)]
-        forms += [_stratified_form(v, complex, assignment) for v in complex.simplices(0)]
+            forms += [_form("defect", s, complex, assignment), _form("ascending", s, complex, assignment)]
+        forms += [_form("stratified", v, complex, assignment) for v in complex.simplices(0)]
         gauss_bonnet_check(embedded, assignment, cfg=cfg)
     totals = [recorded["total"] for _, recorded, _ in calls]
     assert len(totals) == 7
@@ -676,15 +696,15 @@ def test_folded_forms_evaluate_like_unfolded_ones_bit_for_bit(sphere3, book, joi
         complex = embedded.complex
         simplices = complex.simplices()
         ascending = [
-            (_ascending_form(s, complex, assignment), _merged_ascending_form(s, complex, assignment, angle_defect_term))
+            (_form("ascending", s, complex, assignment), _merged_ascending_form(s, complex, assignment, angle_defect_term))
             for s in simplices
         ]
         pairs = ascending + [
-            (_stratified_form(v, complex, assignment), _merged_stratified_form(v, complex, assignment))
+            (_form("stratified", v, complex, assignment), _merged_stratified_form(v, complex, assignment))
             for v in complex.simplices(0)
         ]
         pairs += [
-            (_defect_form(s, complex, assignment), _reference_defect_form(s, complex, assignment))
+            (_form("defect", s, complex, assignment), _reference_defect_form(s, complex, assignment))
             for s in simplices
         ]
         reference_total = _AngleForm()

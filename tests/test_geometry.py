@@ -180,6 +180,29 @@ def test_embedded_complex_validation():
         )
 
 
+def test_embedded_complex_takes_only_integer_vertex_ids_and_ambient_dim():
+    triangle = SimplicialComplex([(0, 1, 2)])
+    p, q, r, s = [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
+    # int() would take 1.7 as vertex 1, parse "2", and let 1.2 overwrite vertex 1
+    for coordinates, ambient_dim in [
+        ({0: p, 1.7: q, 2: r}, None),
+        ({0: p, 1: q, "2": r}, None),
+        ({0: p, 1: q, 1.2: s, 2: r}, None),
+        ({0: p, 1: q, 2: r}, 2.0),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            EmbeddedComplex(triangle, coordinates, ambient_dim)
+    embedded = EmbeddedComplex(triangle, {np.int64(0): p, 1: q, 2: r}, np.int64(2))
+    assert type(embedded.ambient_dim) is int and list(embedded.coordinates) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_embedded_complex_names_a_non_finite_coordinate(bad):
+    coords = {0: [0.0, 0.0], 1: [1.0, bad], 2: [0.0, 1.0]}
+    with pytest.raises(GeometryError, match=re.escape("vertex 1 has a non-finite coordinate")):
+        EmbeddedComplex(SimplicialComplex([(0, 1, 2)]), coords)
+
+
 # -- Sommerville residuals ---------------------------------------------------
 
 
