@@ -19,6 +19,7 @@ from fractions import Fraction
 from simcurv import generators, io, sequences
 from simcurv.curvature import (
     DEFAULT_Z,
+    _KINDS,
     HypothesisError,
     TheoremReport,
     _row,
@@ -374,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="per-simplex curvature values")
     p.add_argument("complex")
-    p.add_argument(
-        "--kind", choices=["defect", "stratified", "ascending"], default="ascending"
-    )
+    p.add_argument("--kind", choices=_KINDS, default="ascending")
     _add_run_options(p)
     p.set_defaults(func=_cmd_curvature)
 

@@ -13,7 +13,10 @@ remain in the combination.  Each kind is a weight rule, ``_weights``: an
 even numerator per coface dimension over an even denominator (2 for the
 defect, 4 times the weight's denominator for ascending forms,
 2 lcm(1, ..., n - 1) for stratified ones), and ``_form`` builds every kind
-from it in one walk of the star.
+from it in one walk of the star.  The Gauss-Bonnet total
+sum_tau (-1)^dim(tau) K(tau) is one more row, "total": its entry for
+dimension i is the signed column sum of the ascending rows, (-1)^i for the
+weights a_n, and ``_form`` walks every simplex for it.
 
 A coface's rank enters with its numerator, ``scale``, as the integer
 ``scale // 2 * r`` from the stratum index r alone.  The angles of
@@ -24,11 +27,10 @@ hold only pairs of codimension >= 2, which the fill computes and the
 evaluation sums.  The constant is the same exact rational, so every value
 is the one the unfolded form gives.
 
-Every curvature and every check (Gauss-Bonnet, vanishing, and subdivision
-through ``curvature_table``) hands its forms to ``_evaluate``, which fills
-the cache with all their pairs in one batch and evaluates each form; the
-Sommerville check fills once and sweeps ``geometry.sommerville_residuals``.
-A value is exact when its standard error is 0, and every verdict is
+Every curvature and every check (Gauss-Bonnet, vanishing, Sommerville, and
+subdivision through ``curvature_table``) hands its forms to ``_evaluate``,
+which fills the cache with all their pairs in one batch and evaluates each
+form.  A value is exact when its standard error is 0, and every verdict is
 ``_verdict(residual, std_error, z)``.  Gauss-Bonnet judges only its total;
 its rows are the ascending curvatures, as ``curvature`` prints them.
 """
@@ -50,8 +52,7 @@ from simcurv.geometry import (
     EmbeddedComplex,
     _AngleForm,
     _require_cache,
-    _sommerville_pairs,
-    sommerville_residuals,
+    _sommerville_form,
 )
 from simcurv.sequences import angle_defect_term
 from simcurv.stratification import (
@@ -74,9 +75,9 @@ class HypothesisError(ValueError):
 
 @lru_cache(maxsize=256)
 def _weights(kind: str, p: int, n: int, weights: WeightFn) -> tuple[int, tuple[int, ...]]:
-    """One row of K = M D: the curvature ``kind`` of a p-simplex of an
-    n-complex as an even denominator and, per coface dimension 0..n, an even
-    numerator that scales the angle defects of those cofaces."""
+    """One row of K = M D, the curvature ``kind`` of a p-simplex of an n-complex
+    (p = -1 for the "total"): an even denominator and, per coface dimension
+    0..n, an even numerator that scales the angle defects of those cofaces."""
     scales = [0] * (n + 1)
     if kind == "defect":
         scales[p] = den = 2
@@ -85,6 +86,15 @@ def _weights(kind: str, p: int, n: int, weights: WeightFn) -> tuple[int, tuple[i
         den = 2 * math.lcm(*range(1, n))
         for i in range(n - 1):
             scales[i] = (-1) ** i * den // (i + 1)
+    elif kind == "total":
+        # the signed column sums of the ascending rows, over 2 lcm of their denominators:
+        # (-1)^i (w(i) + sum_{q<i} C(i+1, q+1) w(q) / 2), (-1)^i for a_n (verify_recursion)
+        column = [
+            weights(i) + Fraction(sum(math.comb(i + 1, q + 1) * weights(q) for q in range(i)), 2)
+            for i in range(n + 1)
+        ]
+        den = 2 * math.lcm(*(c.denominator for c in column))
+        scales = [(-1) ** i * (c * den).numerator for i, c in enumerate(column)]
     else:
         # a_p = 4 a_p.numerator / den on tau, a_p / 2 times (-1)^(i - p) above it
         a_p = weights(p)
@@ -102,14 +112,15 @@ def _form(
     assignment: StratumAssignment,
     weights: WeightFn = angle_defect_term,
 ) -> _AngleForm:
-    """The curvature ``kind`` of tau as a form: the ``_weights`` of each
-    coface eta times its defect, rank(eta) = r/2 minus the angles of its top
-    cofaces.  The star is walked only when a coface above tau is weighted;
-    no two cofaces share a pair, as ``_AngleForm.add_angles`` requires."""
+    """The curvature ``kind`` of tau as a form: the ``_weights`` of each coface eta
+    times its defect, rank(eta) = r/2 minus the angles of its top cofaces.  The star
+    (of the empty face, the total's: every simplex) is walked only when a coface above
+    tau is weighted; no two cofaces share a pair, as ``_AngleForm.add_angles`` requires."""
     p = len(tau) - 1
     den, scales = _weights(kind, p, complex.dim, weights)
     form = _AngleForm(den=den)
-    for eta in complex.star(tau) if any(scales[p + 1 :]) else (tau,):
+    walk = any(scales[p + 1 :])
+    for eta in (complex.star(tau) if tau else complex.simplices()) if walk else (tau,):
         scale = scales[len(eta) - 1]
         if scale:
             form.const += scale // 2 * assignment.r(eta)
@@ -287,9 +298,7 @@ def gauss_bonnet_check(
         raise ValueError("Gauss-Bonnet check needs dimension >= 2")
     assignment = _require_assignment(embedded, assignment)
     forms = {tau: _form("ascending", tau, complex, assignment, weights) for tau in complex.simplices()}
-    total = _AngleForm()
-    for tau, form in forms.items():
-        total.add(form, (-1) ** (len(tau) - 1))
+    total = _form("total", (), complex, assignment, weights)
     values = _evaluate(_require_cache(embedded, cfg, cache), {**forms, "total": total})
     lhs = values.pop("total")
     rows = [_row(tau, cv) for tau, cv in values.items()]
@@ -448,18 +457,24 @@ def sommerville_check(
     n = complex.dim
     if n % 2 == 0 or n < 3:
         raise ValueError(f"sommerville check needs an odd dimension >= 3, got {n}")
-    book = AngleCache(embedded, cfg)
-    # one parallel fill of every top simplex's pairs; the sweep then reuses them
-    book.fill(pair for sigma in complex.simplices(n) for pair in _sommerville_pairs(sigma))
-    rows = []
-    for sigma in complex.simplices(n):
-        for p in range(0, n - 1, 2):
-            for tau in combinations(sigma, p + 1):
-                row = sommerville_residuals(sigma, tau, embedded, cache=book)
-                del row["defect_rhs"]
-                row["sigma"], row["tau"] = list(sigma), list(tau)
-                row["pass"] = _verdict(row["alternating_residual"], row["alternating_std_error"], z)
-                rows.append(row)
+    forms = {
+        (sigma, tau): _sommerville_form(sigma, tau)
+        for sigma in complex.simplices(n)
+        for p in range(0, n - 1, 2)
+        for tau in combinations(sigma, p + 1)
+    }
+    rows = [
+        {
+            "sigma": list(sigma),
+            "tau": list(tau),
+            "alternating_residual": alt.value,
+            "alternating_std_error": alt.std_error,
+            "defect_residual": -alt.value / 2 + 0.0,  # a zero sum is 0.0, not -0.0
+            "defect_std_error": alt.std_error / 2,
+            "pass": _verdict(alt.value, alt.std_error, z),
+        }
+        for (sigma, tau), alt in _evaluate(AngleCache(embedded, cfg), forms).items()
+    ]
     worst = max(rows, key=lambda r: abs(r["alternating_residual"]))
     return TheoremReport(
         name="sommerville",

@@ -162,6 +162,9 @@ class EmbeddedComplex:
     ):
         self.complex = complex
         coords = {_integer(v, "vertex id"): np.asarray(p, float) for v, p in coordinates.items()}
+        for v, p in coords.items():
+            if p.ndim != 1:
+                raise GeometryError(f"coordinates of vertex {v} are not a vector: shape {p.shape}")
         dims = {p.shape for p in coords.values()}
         if len(dims) > 1:
             raise GeometryError(f"inconsistent coordinate lengths: {dims}")
@@ -641,38 +644,13 @@ class _AngleForm:
     coeffs: dict[tuple[Simplex, Simplex], int] = field(default_factory=dict)
     den: int = 1
 
-    def add(self, other: "_AngleForm", scale: Fraction | int = 1) -> None:
-        """Add ``scale`` times ``other``.  The denominator grows to the lcm
-        only when ``other`` brings a new one; a coefficient that cancels to
-        zero is removed."""
-        scale = Fraction(scale)
-        if scale == 0:
-            return
-        den = scale.denominator * other.den
-        if self.den % den:
-            lcm = math.lcm(self.den, den)
-            up = lcm // self.den
-            self.const *= up
-            for pair in self.coeffs:
-                self.coeffs[pair] *= up
-            self.den = lcm
-        k = scale.numerator * (self.den // den)
-        self.const += k * other.const
-        coeffs = self.coeffs
-        for pair, c in other.coeffs.items():
-            new = coeffs.get(pair, 0) + k * c
-            if new == 0:
-                coeffs.pop(pair, None)
-            else:
-                coeffs[pair] = new
-
     def add_angles(self, eta: Simplex, tops: Sequence[Simplex], c: int) -> None:
         """Add ``c / den`` times the angle of each simplex of ``tops`` along
         their common face ``eta``; the tops share one dimension.
 
         At codimension 0 or 1 the angles are the constants 1 and 1/2, and
         ``c`` is even, so they go whole into ``const``.  Otherwise the pairs
-        are written, not merged as ``add`` merges: none may be in the form yet.
+        are written, not merged: none may be in the form yet.
         """
         if not tops:
             return
@@ -736,11 +714,6 @@ def _sommerville_form(sigma: Simplex, tau: Simplex) -> _AngleForm:
     return form
 
 
-def _sommerville_pairs(sigma: Simplex) -> list[tuple[Simplex, Simplex]]:
-    """The pairs of Sommerville's forms on sigma: its faces of codimension >= 2."""
-    return [(eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k)]
-
-
 def sommerville_residuals(
     sigma: Simplex,
     tau: Simplex,
@@ -770,7 +743,8 @@ def sommerville_residuals(
     sigma, tau = as_simplex(sigma), as_simplex(tau)
     form = _sommerville_form(sigma, tau)
     book = _require_cache(embedded, cfg, cache)
-    book.fill(_sommerville_pairs(sigma))
+    # the pairs of every form on sigma: its faces of codimension >= 2
+    book.fill((eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k))
     alt = form.evaluate(book)
     return {
         "sigma": sigma,

@@ -121,9 +121,12 @@ def overrides_from_payload(payload: Any) -> dict[Simplex, int]:
     for entry in _list(payload, "rank overrides"):
         try:
             simplex = _vertex_ids(entry["simplex"], "override simplex")
-            overrides[simplex] = _integer(entry["r"], "override rank r")
+            r = _integer(entry["r"], "override rank r")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad override entry {entry!r}") from exc
+        if simplex in overrides:
+            raise FileFormatError(f"more than one rank override for simplex {list(simplex)}")
+        overrides[simplex] = r
     return overrides
 
 

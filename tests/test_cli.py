@@ -122,6 +122,29 @@ def test_strata_overrides(capsys, tmp_path):
     assert row["r"] == 4 and row["tier"] == "override"
 
 
+def test_duplicate_rank_overrides_exit_2(capsys, tmp_path):
+    path = tmp_path / "book.json"
+    payload = cio.complex_to_dict(triple_book())
+    duplicate = [{"simplex": [0, 3], "r": 4}, {"simplex": [3, 0], "r": 6}]
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps(duplicate))
+    for overrides, argv in ((duplicate, ()), ([], ("--overrides", str(over)))):
+        payload["rank_overrides"] = overrides
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "strata", str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert "more than one rank override for simplex [0, 3]" in err
+    # an --overrides entry still replaces the file's own override of a simplex
+    payload["rank_overrides"] = [{"simplex": [0, 3], "r": 6}]
+    path.write_text(json.dumps(payload))
+    over.write_text(json.dumps([{"simplex": [0, 3], "r": 4}]))
+    code, out, _ = run_cli(capsys, "strata", str(path), "--overrides", str(over), "--format", "json")
+    assert code == 0
+    row = [r for r in json.loads(out)["rows"] if r["simplex"] == [0, 3]][0]
+    assert row["r"] == 4 and row["tier"] == "override"
+
+
 def test_angles_command(capsys, tmp_path):
     path = tmp_path / "dD3.json"
     with path.open("w") as handle:

@@ -13,6 +13,7 @@ from simcurv.curvature import (
     HypothesisError,
     _form,
     _verdict,
+    _weights,
     ascending_stratified_curvature,
     carrier_alternating_sum,
     carrier_alternating_sum_check,
@@ -43,7 +44,7 @@ from simcurv.geometry import (
     _sommerville_form,
     sommerville_residuals,
 )
-from simcurv.sequences import angle_defect_term
+from simcurv.sequences import angle_defect_term, verify_recursion
 from simcurv.stratification import stratify
 from simcurv.subdivision import barycentric_subdivide, stellar_subdivide
 
@@ -377,20 +378,39 @@ def test_every_curvature_rejects_a_simplex_not_in_the_complex(sphere2, curvature
         curvature(simplex, sphere2, cfg=CFG)
 
 
+@dataclasses.dataclass
+class _FractionForm:
+    """Reference: a form with a ``Fraction`` constant and ``Fraction``
+    coefficients (so its ``den`` is 1), merged in plain ``Fraction``
+    arithmetic."""
+
+    const: Fraction = Fraction(0)
+    coeffs: dict = dataclasses.field(default_factory=dict)
+    den: int = 1
+
+    def add(self, other, scale):
+        """Add ``scale`` times ``other``; a new pair goes last, and a
+        coefficient that cancels to zero is removed."""
+        self.const += scale * other.const
+        for pair, c in other.coeffs.items():
+            new = self.coeffs.get(pair, 0) + scale * c
+            if new == 0:
+                self.coeffs.pop(pair, None)
+            else:
+                self.coeffs[pair] = new
+
+
 def _reference_defect_form(eta, complex, assignment):
-    rank = assignment.rank(eta)
-    form = _AngleForm(const=rank.numerator, den=rank.denominator)
-    for sigma in complex.top_cofaces(eta):
-        form.coeffs[(eta, sigma)] = form.coeffs.get((eta, sigma), 0) - rank.denominator
-    return form
+    """Reference: rank(eta) minus the angle of each top coface of eta."""
+    return _FractionForm(assignment.rank(eta), {(eta, sigma): Fraction(-1) for sigma in complex.top_cofaces(eta)})
 
 
 def _merged_ascending_form(tau, complex, assignment, weights):
     """Reference: the ascending form as a sum of defect forms, merged one by
-    one through ``_AngleForm.add``."""
+    one."""
     p = len(tau) - 1
     a_p = weights(p)
-    form = _AngleForm()
+    form = _FractionForm()
     if a_p == 0:
         return form
     form.add(_reference_defect_form(tau, complex, assignment), a_p)
@@ -402,12 +422,21 @@ def _merged_ascending_form(tau, complex, assignment, weights):
 
 
 def _merged_stratified_form(v, complex, assignment):
-    form = _AngleForm()
+    form = _FractionForm()
     for eta in complex.star(v):
         i = len(eta) - 1
         if i <= complex.dim - 2:
             form.add(_reference_defect_form(eta, complex, assignment), Fraction((-1) ** i, i + 1))
     return form
+
+
+def _merged_total(ascending):
+    """Reference: the Gauss-Bonnet total sum_tau (-1)^dim(tau) K(tau), merged
+    from the reference ascending forms {tau: form}."""
+    total = _FractionForm()
+    for tau, form in ascending.items():
+        total.add(form, (-1) ** (len(tau) - 1))
+    return total
 
 
 def _fractions(form):
@@ -440,11 +469,8 @@ def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, wei
     for embedded in (sphere3, book, join_sphere3, sd_sphere2, sphere5, join_sphere5):
         complex = embedded.complex
         assignment = stratify(complex)
-        pairs = [
-            (_form("ascending", s, complex, assignment, weights),
-             _merged_ascending_form(s, complex, assignment, weights))
-            for s in complex.simplices()
-        ]
+        ascending = {s: _merged_ascending_form(s, complex, assignment, weights) for s in complex.simplices()}
+        pairs = [(_form("ascending", s, complex, assignment, weights), ascending[s]) for s in complex.simplices()]
         pairs += [
             (_form("stratified", v, complex, assignment), _merged_stratified_form(v, complex, assignment))
             for v in complex.simplices(0)
@@ -458,6 +484,31 @@ def test_direct_forms_equal_merged_defect_forms(sphere3, book, join_sphere3, wei
             reference_const, reference_coeffs = _folded_fractions(reference)
             assert const == reference_const
             assert coeffs == reference_coeffs  # order too
+        # the total walks the simplices, not the ascending forms: its order differs
+        const, coeffs = _fractions(_form("total", (), complex, assignment, weights))
+        reference_const, reference_coeffs = _folded_fractions(_merged_total(ascending))
+        assert const == reference_const
+        assert dict(coeffs) == dict(reference_coeffs)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_total_row_is_the_signed_column_sum_of_the_ascending_rows(n):
+    """Entry i of the "total" row is sum_p (-1)^p C(i+1, p+1) times entry i
+    of the ascending row of p: (-1)^i for a_n, which is the identity
+    ``sequences.verify_recursion`` checks, and (-1)^i 2^i for constant-one
+    weights."""
+    for weights, expected in ((angle_defect_term, 1), (lambda p: Fraction(1), 2)):
+        den, scales = _weights("total", -1, n, weights)
+        assert den % 2 == 0 and all(scale % 2 == 0 for scale in scales)
+        row = [Fraction(scale, den) for scale in scales]
+        assert row == [(-expected) ** i for i in range(n + 1)]
+        column_sums = [0] * (n + 1)
+        for p in range(n + 1):
+            p_den, p_scales = _weights("ascending", p, n, weights)
+            for i in range(n + 1):
+                column_sums[i] += (-1) ** p * math.comb(i + 1, p + 1) * Fraction(p_scales[i], p_den)
+        assert row == column_sums
+    assert verify_recursion(n)
 
 
 # -- integer-numerator forms against Fraction arithmetic ----------------------
@@ -575,42 +626,6 @@ def test_form_value_is_the_correctly_rounded_sum_of_its_terms(sphere2):
     assert cv.exact
 
 
-def test_add_matches_fraction_arithmetic():
-    pairs = [((v,), (0, 1, 2, v + 3)) for v in range(6)]
-    a = _AngleForm(const=3, coeffs={pairs[0]: 1, pairs[1]: -5, pairs[2]: 7}, den=2)
-    b = _AngleForm(const=-1, coeffs={pairs[3]: 2, pairs[1]: 4, pairs[4]: -1}, den=5)
-    c = _AngleForm(const=2, coeffs={pairs[5]: 3, pairs[0]: -1}, den=7)
-    steps = [
-        (a, Fraction(1, 3)),
-        (b, Fraction(-17, 4)),
-        (a, 1),
-        (b, Fraction(17, 4)),  # cancels b's pairs to exactly zero
-        (a, Fraction(-4, 3)),  # and then a's
-        (b, Fraction(0)),  # a zero scale adds nothing
-        (b, 2),
-        (a, Fraction(5, 6)),
-        (c, 1),  # a denominator below the form's, but not one of its divisors
-        (a, Fraction(1, 9)),
-    ]
-    form = _AngleForm()
-    const, coeffs = Fraction(0), {}
-    for other, scale in steps:
-        form.add(other, scale)
-        scale = Fraction(scale)
-        if scale == 0:
-            continue
-        other_const, other_coeffs = _fractions(other)
-        const += scale * other_const
-        for pair, c in other_coeffs:
-            new = coeffs.get(pair, Fraction(0)) + scale * c
-            if new == 0:
-                coeffs.pop(pair, None)
-            else:
-                coeffs[pair] = new
-        assert _fractions(form) == (const, list(coeffs.items()))
-    assert [pair for pair, _ in _fractions(form)[1]] == [pairs[3], pairs[1], pairs[4], pairs[0], pairs[2], pairs[5]]
-
-
 # -- constant angles folded into form constants ---------------------------------
 
 
@@ -695,11 +710,9 @@ def test_folded_forms_evaluate_like_unfolded_ones_bit_for_bit(sphere3, book, joi
     for embedded, assignment in _folding_cases(sphere3, book, join_sphere3):
         complex = embedded.complex
         simplices = complex.simplices()
-        ascending = [
-            (_form("ascending", s, complex, assignment), _merged_ascending_form(s, complex, assignment, angle_defect_term))
-            for s in simplices
-        ]
-        pairs = ascending + [
+        ascending = {s: _merged_ascending_form(s, complex, assignment, angle_defect_term) for s in simplices}
+        pairs = [(_form("ascending", s, complex, assignment), ascending[s]) for s in simplices]
+        pairs += [
             (_form("stratified", v, complex, assignment), _merged_stratified_form(v, complex, assignment))
             for v in complex.simplices(0)
         ]
@@ -707,9 +720,7 @@ def test_folded_forms_evaluate_like_unfolded_ones_bit_for_bit(sphere3, book, joi
             (_form("defect", s, complex, assignment), _reference_defect_form(s, complex, assignment))
             for s in simplices
         ]
-        reference_total = _AngleForm()
-        for s, (_, reference) in zip(simplices, ascending):
-            reference_total.add(reference, (-1) ** (len(s) - 1))
+        reference_total = _merged_total(ascending)
         cache = AngleCache(embedded, cfg)
         cache.fill({pair for _, reference in pairs for pair in reference.coeffs})
         for form, reference in pairs:

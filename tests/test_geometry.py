@@ -203,6 +203,20 @@ def test_embedded_complex_names_a_non_finite_coordinate(bad):
         EmbeddedComplex(SimplicialComplex([(0, 1, 2)]), coords)
 
 
+@pytest.mark.parametrize(
+    "coords, vertex, shape",
+    [
+        # a (1, 2) array was taken as a point of R^1, and a scalar raised IndexError
+        ({0: [[0.0, 1.0]], 1: [[1.0, 0.0]]}, 0, "(1, 2)"),
+        ({0: 1.0, 1: 2.0}, 0, "()"),
+        ({0: [0.0, 1.0], 1: [[1.0, 0.0]]}, 1, "(1, 2)"),
+    ],
+)
+def test_embedded_complex_names_a_coordinate_that_is_not_a_vector(coords, vertex, shape):
+    with pytest.raises(GeometryError, match=re.escape(f"coordinates of vertex {vertex} are not a vector: shape {shape}")):
+        EmbeddedComplex(SimplicialComplex([(0, 1)]), coords)
+
+
 # -- Sommerville residuals ---------------------------------------------------
 
 

@@ -83,6 +83,13 @@ def test_override_payload_validation():
         cio.overrides_from_payload([{"simplex": [0]}])
 
 
+def test_duplicate_rank_overrides_rejected():
+    # the last entry used to win silently
+    entries = [{"simplex": [0, 1], "r": 3}, {"simplex": [1, 0], "r": 5}]
+    with pytest.raises(cio.FileFormatError, match=r"more than one rank override for simplex \[0, 1\]"):
+        cio.overrides_from_payload(entries)
+
+
 def test_carrier_payload_validation():
     parsed = cio.carrier_from_payload([{"simplex": [1, 0], "carrier": [0, 1, 2]}])
     assert parsed == {(0, 1): (0, 1, 2)}
