@@ -9,14 +9,14 @@ forms over (face, top-simplex) angle pairs, with integer numerators over one
 denominator per form, and evaluated once against a shared angle cache.
 Identical pairs therefore cancel exactly, and the reported standard error is
 the propagated error of the independent Monte Carlo estimates that actually
-remain in the combination.  Each kind is a weight rule, ``_weights``: an
-even numerator per coface dimension over an even denominator (2 for the
-defect, 4 times the weight's denominator for ascending forms,
-2 lcm(1, ..., n - 1) for stratified ones), and ``_form`` builds every kind
-from it in one walk of the star.  The Gauss-Bonnet total
-sum_tau (-1)^dim(tau) K(tau) is one more row, "total": its entry for
-dimension i is the signed column sum of the ascending rows, (-1)^i for the
-weights a_n, and ``_form`` walks every simplex for it.
+remain in the combination.  Each kind is a weight rule, ``_weights``: the
+paper's exact weight per coface dimension (1 for the defect, (-1)^i/(i+1)
+for the stratified curvature, a_p and (-1)^(i-p) a_p/2 above it for the
+ascending one) times 2 lcm of the row's denominators, and ``_form`` builds
+every kind from it in one walk of the star.  The Gauss-Bonnet total
+sum_tau (-1)^dim(tau) K(tau) is one more row, "total", of weights (-1)^i
+``recursion_sum(i)``, (-1)^i for the weights a_n; ``_form`` walks every
+simplex for it.
 
 A coface's rank enters with its numerator, ``scale``, as the integer
 ``scale // 2 * r`` from the stratum index r alone.  The angles of
@@ -52,9 +52,10 @@ from simcurv.geometry import (
     EmbeddedComplex,
     _AngleForm,
     _require_cache,
+    _sommerville_fields,
     _sommerville_form,
 )
-from simcurv.sequences import angle_defect_term
+from simcurv.sequences import angle_defect_term, recursion_sum
 from simcurv.stratification import (
     StratumAssignment,
     stratified_euler_characteristic,
@@ -76,33 +77,20 @@ class HypothesisError(ValueError):
 @lru_cache(maxsize=256)
 def _weights(kind: str, p: int, n: int, weights: WeightFn) -> tuple[int, tuple[int, ...]]:
     """One row of K = M D, the curvature ``kind`` of a p-simplex of an n-complex
-    (p = -1 for the "total"): an even denominator and, per coface dimension
-    0..n, an even numerator that scales the angle defects of those cofaces."""
-    scales = [0] * (n + 1)
+    (p = -1 for the "total"), as an even denominator and, per coface dimension
+    0..n, an even numerator that scales the angle defects of those cofaces:
+    the row's exact weights times 2 lcm of their denominators."""
     if kind == "defect":
-        scales[p] = den = 2
+        row = {p: Fraction(1)}
     elif kind == "stratified":
-        # (-1)^i / (i + 1) for i <= n - 2, over 2 lcm(1, ..., n - 1)
-        den = 2 * math.lcm(*range(1, n))
-        for i in range(n - 1):
-            scales[i] = (-1) ** i * den // (i + 1)
+        row = {i: Fraction((-1) ** i, i + 1) for i in range(n - 1)}
     elif kind == "total":
-        # the signed column sums of the ascending rows, over 2 lcm of their denominators:
-        # (-1)^i (w(i) + sum_{q<i} C(i+1, q+1) w(q) / 2), (-1)^i for a_n (verify_recursion)
-        column = [
-            weights(i) + Fraction(sum(math.comb(i + 1, q + 1) * weights(q) for q in range(i)), 2)
-            for i in range(n + 1)
-        ]
-        den = 2 * math.lcm(*(c.denominator for c in column))
-        scales = [(-1) ** i * (c * den).numerator for i, c in enumerate(column)]
+        row = {i: (-1) ** i * recursion_sum(i, weights) for i in range(n + 1)}
     else:
-        # a_p = 4 a_p.numerator / den on tau, a_p / 2 times (-1)^(i - p) above it
-        a_p = weights(p)
-        den = 4 * a_p.denominator
-        scales[p] = 4 * a_p.numerator
-        for i in range(p + 1, n + 1):
-            scales[i] = (-1) ** (i - p) * 2 * a_p.numerator
-    return den, tuple(scales)
+        half = Fraction(weights(p), 2)  # a float weight raises here
+        row = {p: 2 * half} | {i: (-1) ** (i - p) * half for i in range(p + 1, n + 1)}
+    den = 2 * math.lcm(*(w.denominator for w in row.values()))
+    return den, tuple(int(row.get(i, 0) * den) for i in range(n + 1))
 
 
 def _form(
@@ -467,10 +455,7 @@ def sommerville_check(
         {
             "sigma": list(sigma),
             "tau": list(tau),
-            "alternating_residual": alt.value,
-            "alternating_std_error": alt.std_error,
-            "defect_residual": -alt.value / 2 + 0.0,  # a zero sum is 0.0, not -0.0
-            "defect_std_error": alt.std_error / 2,
+            **_sommerville_fields(alt),
             "pass": _verdict(alt.value, alt.std_error, z),
         }
         for (sigma, tau), alt in _evaluate(AngleCache(embedded, cfg), forms).items()

@@ -714,6 +714,16 @@ def _sommerville_form(sigma: Simplex, tau: Simplex) -> _AngleForm:
     return form
 
 
+def _sommerville_fields(alt: CurvatureValue) -> dict:
+    """Sommerville's alternating residual ``alt`` and the defect form's, its exact -1/2."""
+    return {
+        "alternating_residual": alt.value,
+        "alternating_std_error": alt.std_error,
+        "defect_residual": -alt.value / 2 + 0.0,  # a zero sum is 0.0, not -0.0
+        "defect_std_error": alt.std_error / 2,
+    }
+
+
 def sommerville_residuals(
     sigma: Simplex,
     tau: Simplex,
@@ -745,15 +755,11 @@ def sommerville_residuals(
     book = _require_cache(embedded, cfg, cache)
     # the pairs of every form on sigma: its faces of codimension >= 2
     book.fill((eta, sigma) for k in range(1, len(sigma) - 1) for eta in combinations(sigma, k))
-    alt = form.evaluate(book)
     return {
         "sigma": sigma,
         "tau": tau,
-        "alternating_residual": alt.value,
-        "alternating_std_error": alt.std_error,
         "defect_rhs": Fraction(2 - len(sigma) + len(tau), 4),
-        "defect_residual": -alt.value / 2 + 0.0,  # a zero sum is 0.0, not -0.0
-        "defect_std_error": alt.std_error / 2,
+        **_sommerville_fields(form.evaluate(book)),
     }
 
 

@@ -66,6 +66,11 @@ def angle_defect_sequence(n_max: int) -> list[Fraction]:
     return [angle_defect_term(i) for i in range(n_max + 1)]
 
 
+def recursion_sum(n: int, weights=angle_defect_term) -> Fraction:
+    """w_n + sum_{i<n} C(n+1, i+1) w_i / 2, exact; it is 1 for the weights a_n, n >= 1."""
+    return weights(n) + Fraction(sum(comb(n + 1, i + 1) * weights(i) for i in range(n)), 2)
+
+
 def verify_recursion(n_max: int) -> bool:
     """Check a_n + sum_{i<n} (a_i/2) C(n+1, i+1) = 1 exactly for 1 <= n <= n_max.
 
@@ -74,11 +79,4 @@ def verify_recursion(n_max: int) -> bool:
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    for n in range(1, n_max + 1):
-        lhs = angle_defect_term(n) + sum(
-            (angle_defect_term(i) / 2) * binomial(n + 1, i + 1) for i in range(n)
-        )
-        if lhs != 1:
-            return False
-    return True
-
+    return all(recursion_sum(n) == 1 for n in range(1, n_max + 1))
