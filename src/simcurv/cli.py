@@ -53,6 +53,11 @@ class _CliError(Exception):
     pass
 
 
+def _message(exc: Exception) -> str:
+    """The text of ``exc``; a KeyError's str() would be the repr of it."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
 def _open_input(path: str):
     return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
 
@@ -68,7 +73,7 @@ def _load_input(path: str, load):
     except OSError as exc:  # a directory, no read permission, ...
         raise _CliError(f"{path}: {exc.strerror or exc}") from exc
     except (KeyError, ValueError) as exc:  # malformed JSON, content or geometry
-        raise _CliError(f"{path}: {exc}") from exc
+        raise _CliError(f"{path}: {_message(exc)}") from exc
 
 
 def _read_complex(path: str):
@@ -287,10 +292,7 @@ def _cmd_subdivide(args) -> int:
             simplex = io._vertex_ids(json.loads(args.stellar), "value")
         except ValueError as exc:
             raise _CliError(f"--stellar {args.stellar}: {exc}") from exc
-        try:
-            pair = stellar_subdivide(embedded, simplex)
-        except KeyError as exc:
-            raise _CliError(str(exc)) from exc
+        pair = stellar_subdivide(embedded, simplex)
     if args.carrier_out:  # written first, so a bad path prints nothing
         try:
             with open(args.carrier_out, "w", encoding="utf-8") as stream:
@@ -410,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (_CliError, ValueError, KeyError) as exc:  # GeometryError, FileFormatError included
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

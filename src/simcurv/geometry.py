@@ -37,9 +37,9 @@ per level, with the same checks and the same bits as one pair at a time,
 and ``solid_angle`` runs a stack of one.  Only the sampling and counting of
 Monte Carlo pairs go to the thread pool, each pair with its solver.
 
-The thread pool is process-wide: one ``ThreadPoolExecutor`` per worker
-count, started on first use and kept, so a fill of a few Monte Carlo pairs
-pays no thread start-up.  A fork hook forgets the pools in the child, which
+The thread pool is process-wide: one ``ThreadPoolExecutor`` per thread
+setting, started on first use and kept, so a fill of a few Monte Carlo pairs
+pays no thread start-up, and a fill of k pairs starts at most k threads.  A fork hook forgets the pools in the child, which
 has none of its parent's threads.  Every caller fills before it evaluates;
 ``sommerville_residuals`` fills every pair of its simplex, so a sweep over
 one simplex's faces runs its Monte Carlo angles as one parallel fill.
@@ -532,7 +532,7 @@ def solid_angle(
     return AngleValue(value, std_error, "monte_carlo", samples=samples)
 
 
-# Process-wide thread pools for ``AngleCache.fill``, one per worker count.  A
+# Process-wide thread pools for ``AngleCache.fill``, one per thread count.  A
 # pool kept between fills costs no thread start-up per call; a forked child
 # has none of its parent's threads, so it starts with no pools.
 _POOLS: dict[int, ThreadPoolExecutor] = {}
@@ -579,7 +579,7 @@ class AngleCache:
 
         Results are identical to sequential evaluation: each Monte Carlo pair
         draws from its own counter-based stream.  The worker threads belong
-        to a process-wide pool per worker count, kept from one fill to the
+        to a process-wide pool per thread count, kept from one fill to the
         next.
         """
         values, canonical = self._values, self.embedded.complex.canonical
@@ -600,8 +600,8 @@ class AngleCache:
                     todo.append((*pair, solve_t[n]))
                 else:
                     values[pair] = angle
-        workers = min(self.cfg.resolved_threads(), len(todo))
-        mapper = _pool(workers).map if workers > 1 else map
+        threads = self.cfg.resolved_threads()
+        mapper = _pool(threads).map if threads > 1 and len(todo) > 1 else map
         # one solid_angle call per Monte Carlo angle, looked up at call time
         results = mapper(lambda job: solid_angle(job[0], job[1], self.embedded, self.cfg, job[2]), todo)
         values.update(zip((job[:2] for job in todo), results))
@@ -784,6 +784,9 @@ def convex_hull_boundary(points: Sequence[Sequence[float]]) -> EmbeddedComplex:
         raise GeometryError(f"points must lie in R^d with d >= 2, got d = {d}")
     if m < d + 1:
         raise GeometryError(f"need at least {d + 1} points in R^{d}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise GeometryError(f"point {finite.argmin()} has a non-finite coordinate")
     spread = float(np.ptp(pts, axis=0).max())
     tol = DEGENERACY_TOL * spread
     facets: set[Simplex] = set()

@@ -114,6 +114,8 @@ def stratify(
         r = _integer(r, f"override stratum for {key}")
         if r < 0:
             raise ValueError(f"override stratum for {key} must be non-negative")
+        if key in override_map:
+            raise ValueError(f"more than one rank override for simplex {list(key)}")
         override_map[key] = r
 
     for simplex in complex.simplices():

@@ -158,6 +158,10 @@ def stellar_subdivide(
     if len(sigma) < 2:
         raise ValueError("stellar subdivision needs a simplex of dimension >= 1")
     location = embedded.barycenter(sigma) if point is None else np.asarray(point, dtype=float)
+    if location.shape != (embedded.ambient_dim,):
+        raise GeometryError(
+            f"subdivision point must have {embedded.ambient_dim} coordinates, got shape {location.shape}"
+        )
     system = np.vstack([embedded.points(sigma).T, np.ones((1, len(sigma)))])
     target = np.append(location, 1.0)
     coeffs = np.linalg.lstsq(system, target, rcond=None)[0]

@@ -843,3 +843,77 @@ def test_sidecar_that_is_not_a_list_exits_2(capsys, tmp_path, sidecar):
     assert out == ""
     assert err == f"error: {bad}: {message}\n"
 
+
+
+def test_info_and_strata_print_tables_by_default(capsys, sphere3_file):
+    code, out, err = run_cli(capsys, "info", sphere3_file)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "dimension: 3",
+        "ambient_dim: 4",
+        "f_vector: [5, 10, 10, 5]",
+        "euler_characteristic: 0",
+        "two_pseudomanifold: True",
+    ]
+    code, out, err = run_cli(capsys, "strata", sphere3_file)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["simplex       r  rank  tier", "[0]           2  1     exact"]
+    assert lines[-1] == "stratified_euler_characteristic: 0"
+
+
+@pytest.mark.parametrize(
+    "argv, header, row",
+    [
+        (
+            ["angles"],
+            "face          top           alpha         std_error      method",
+            "[0, 1, 2]     [0, 1, 2, 3]  0.5           0              exact",
+        ),
+        (
+            ["curvature"],
+            "simplex       value           std_error     exact",
+            "[0, 1]        0               0             True",
+        ),
+        (
+            ["verify", "gauss-bonnet"],
+            "exact  simplex       std_error     value",
+            "True   [1, 2, 3, 4]  0             0",
+        ),
+    ],
+    ids=["angles", "curvature", "verify-gauss-bonnet"],
+)
+def test_run_commands_print_one_table_at_any_thread_count(capsys, sphere3_file, argv, header, row):
+    outputs = []
+    for threads in ("1", "2"):
+        code, out, err = run_cli(capsys, *argv, sphere3_file, "--samples", "1000", "--threads", threads)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert header in lines and row in lines
+    if argv[0] == "verify":
+        assert lines[0] == "check: gauss-bonnet"
+        assert "  verdict: pass (z = 4.0)" in lines
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "simplex-boundary"], "generator 'simplex-boundary' needs a dimension argument"),
+        (["generate", "simplex-boundary", "x"], "bad dimension 'x'"),
+        (["verify", "subdivision", "{complex}"], "verify subdivision requires --base"),
+        (["subdivide", "{complex}", "--stellar", "[0, 9]"], "(0, 9) is not in the complex"),
+        (["strata", "{complex}", "--overrides", "{overrides}"], "override references unknown simplex (0, 9)"),
+    ],
+    ids=["no-dimension", "bad-dimension", "no-base", "unknown-stellar", "unknown-override"],
+)
+def test_input_errors_exit_2_with_one_plain_message(capsys, tmp_path, argv, message):
+    # a KeyError's message is printed as it is, not as its repr in quotes
+    path = tmp_path / "dD3.json"
+    with path.open("w") as handle:
+        cio.dump_complex(boundary_of_simplex(3), handle)
+    overrides = tmp_path / "over.json"
+    overrides.write_text(json.dumps([{"simplex": [0, 9], "r": 3}]))
+    argv = [arg.format(complex=path, overrides=overrides) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

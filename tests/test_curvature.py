@@ -234,6 +234,31 @@ def test_vanishing_check(sphere3, join_sphere3, book, sphere3_cache):
         vanishing_check(book, cfg=CFG)
 
 
+def test_vanishing_check_fails_an_analytic_zero_that_is_not_zero(sphere3):
+    # r = 3 on a triangle of the 3-sphere: its ascending curvature is
+    # a_2 (3/2 - 2 * 1/2) = -1/4, exact, where the theorem forces 0
+    triangle = (0, 1, 2)
+    assignment = stratify(sphere3.complex, {triangle: 3})
+    report = vanishing_check(sphere3, assignment, AngleConfig(samples=1000, seed=1))
+    row = next(r for r in report.rows if r["simplex"] == list(triangle))
+    assert (row["value"], row["exact"], row["analytic_zero"], row["pass"]) == (-0.25, True, True, False)
+    assert report.summary["analytic_zero_failures"] == 1
+    assert not report.passed
+
+
+def test_an_assignment_of_another_complex_is_refused(sphere2, sphere3):
+    with pytest.raises(ValueError, match="^stratum assignment belongs to a different complex$"):
+        generalized_angle_defect((0,), sphere3, stratify(sphere2.complex))
+    with pytest.raises(ValueError, match="^stratum assignment belongs to a different complex$"):
+        gauss_bonnet_check(sphere3, stratify(sphere2.complex), AngleConfig(samples=1000))
+
+
+def test_gauss_bonnet_needs_dimension_two():
+    circle = boundary_of_simplex(2)
+    with pytest.raises(ValueError, match="^Gauss-Bonnet check needs dimension >= 2$"):
+        gauss_bonnet_check(circle)
+
+
 def test_subdivision_relation_surface(sphere2):
     for pair in [
         stellar_subdivide(sphere2, (0, 1, 2)),
@@ -509,6 +534,30 @@ def test_total_row_is_the_signed_column_sum_of_the_ascending_rows(n):
                 column_sums[i] += (-1) ** p * math.comb(i + 1, p + 1) * Fraction(p_scales[i], p_den)
         assert row == column_sums
     assert verify_recursion(n)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_weight_rows_are_the_papers_weights_over_an_even_denominator(n):
+    """Each row is its exact weights times an even denominator, in even
+    integers: 1 on the defect, (-1)^i / (i + 1) for the stratified row, a_p
+    and (-1)^(i - p) a_p / 2 for the ascending one."""
+    def exact(kind, p):
+        den, scales = _weights(kind, p, n, angle_defect_term)
+        assert den % 2 == 0 and all(type(s) is int and s % 2 == 0 for s in scales)
+        return [Fraction(s, den) for s in scales]
+
+    zeros = [Fraction(0)] * (n + 1)
+    assert exact("stratified", 0) == [Fraction((-1) ** i, i + 1) for i in range(n - 1)] + zeros[max(n - 1, 0) :]
+    for p in range(n + 1):
+        assert exact("defect", p) == zeros[:p] + [1] + zeros[p + 1 :]
+        a_p = angle_defect_term(p)
+        assert exact("ascending", p) == zeros[:p] + [a_p] + [(-1) ** (i - p) * a_p / 2 for i in range(p + 1, n + 1)]
+
+
+@pytest.mark.parametrize("kind, p", [("ascending", 0), ("ascending", 3), ("total", -1)])
+def test_a_float_weight_is_refused(kind, p):
+    with pytest.raises(TypeError):
+        _weights(kind, p, 3, lambda q: 0.5)
 
 
 # -- integer-numerator forms against Fraction arithmetic ----------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -610,8 +611,6 @@ def test_generators_take_their_dimension_by_the_integer_rule(build, name):
 
 
 def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
-    import simcurv.geometry as geometry
-
     sizes = []
 
     class RecordingPool(geometry.ThreadPoolExecutor):
@@ -621,9 +620,31 @@ def test_fill_pool_is_no_larger_than_its_work(monkeypatch, solid_tet):
 
     monkeypatch.setattr(geometry, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(geometry, "_POOLS", {})
+    before = set(threading.enumerate())
     cache = AngleCache(solid_tet, AngleConfig(samples=1000, seed=1, threads=8))
     cache.fill([((v,), (0, 1, 2, 3)) for v in range(3)])
-    assert sizes == [3]
+    assert sizes == [8]  # the pool of the thread setting ...
+    assert len(set(threading.enumerate()) - before) <= 3  # ... starts a thread per pair at most
+
+
+def test_fills_of_any_size_share_the_pool_of_their_thread_setting(monkeypatch, solid_tet):
+    # one pool per batch size kept up to T (T + 1) / 2 - 1 idle threads alive
+    monkeypatch.setattr(geometry, "_POOLS", {})
+    before = set(threading.enumerate())
+    cfg = AngleConfig(samples=1000, seed=1, threads=4)
+    for size in (2, 3, 4):
+        AngleCache(solid_tet, cfg).fill([((v,), (0, 1, 2, 3)) for v in range(size)])
+    assert list(geometry._POOLS) == [4]
+    assert len(set(threading.enumerate()) - before) <= 4
+
+
+def test_a_single_monte_carlo_pair_fills_on_the_calling_thread(monkeypatch, solid_tet):
+    monkeypatch.setattr(geometry, "_POOLS", {})
+    AngleCache(solid_tet, AngleConfig(samples=1000, seed=1, threads=4)).fill([((0,), (0, 1, 2, 3))])
+    AngleCache(solid_tet, AngleConfig(samples=1000, seed=1, threads=1)).fill(
+        [((v,), (0, 1, 2, 3)) for v in range(4)]
+    )
+    assert geometry._POOLS == {}
 
 
 def test_successive_fills_run_on_the_same_worker_threads(monkeypatch, solid_tet):
@@ -1154,3 +1175,29 @@ def test_closed_form_angles_are_invariant(n, seed, log_scale, extra_dims, order)
         assert new.method == old.method
         bound = old.abs_error + new.abs_error
         assert new.value == pytest.approx(old.value, rel=1e-12, abs=bound)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_hull_of_a_non_finite_point_raises_naming_it(bad):
+    points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, bad], [1, 1, 1]]
+    with pytest.raises(GeometryError, match="^point 3 has a non-finite coordinate$"):
+        convex_hull_boundary(points)
+
+
+def test_angle_config_needs_a_thousand_samples():
+    with pytest.raises(ValueError, match="^samples must be at least 1000$"):
+        AngleConfig(samples=999)
+    assert AngleConfig(samples=1000).samples == 1000
+
+
+def test_embedded_complex_rejects_mixed_lengths_and_a_wrong_ambient_dim():
+    edge = SimplicialComplex([(0, 1)])
+    with pytest.raises(GeometryError, match=re.escape("inconsistent coordinate lengths: {")):
+        EmbeddedComplex(edge, {0: [0.0, 0.0], 1: [1.0, 0.0, 0.0]})
+    with pytest.raises(GeometryError, match="^ambient_dim 3 does not match coordinates of length 2$"):
+        EmbeddedComplex(edge, {0: [0.0, 0.0], 1: [1.0, 0.0]}, ambient_dim=3)
+
+
+def test_sommerville_form_rejects_a_face_outside_sigma():
+    with pytest.raises(GeometryError, match=re.escape("(4,) is not a face of (0, 1, 2, 3)")):
+        geometry._sommerville_form((0, 1, 2, 3), (4,))

@@ -9,6 +9,7 @@ from simcurv.sequences import (
     bernoulli,
     bernoulli_poly,
     binomial,
+    recursion_sum,
     verify_recursion,
 )
 
@@ -121,3 +122,11 @@ def test_constant_sequence_fails_recursion():
     n = 2
     lhs = Fraction(1) + sum(Fraction(1, 2) * binomial(n + 1, i + 1) for i in range(n))
     assert lhs != 1
+
+
+def test_recursion_sum_is_one_for_the_weights_and_two_to_the_n_for_ones():
+    assert [recursion_sum(n) for n in range(1, 31)] == [1] * 30
+    assert recursion_sum(0) == 1
+    # 1 + (2^(n+1) - 2) / 2 for the constant-one weights, ints or Fractions
+    for ones in (lambda p: 1, lambda p: Fraction(1)):
+        assert [recursion_sum(n, ones) for n in range(8)] == [2**n for n in range(8)]

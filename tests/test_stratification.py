@@ -116,6 +116,12 @@ def test_overrides(book):
     assert assignment.r((0, 3)) == 5 and type(assignment.r((0, 3))) is int
 
 
+def test_two_overrides_for_one_simplex_are_refused(book):
+    # both keys name the edge [0, 3]: the later one silently won
+    with pytest.raises(ValueError, match=r"^more than one rank override for simplex \[0, 3\]$"):
+        stratify(book.complex, overrides={(0, 3): 3, (3, 0): 5})
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(range(6)))
 def test_relabeling_invariance(book, perm):

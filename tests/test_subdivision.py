@@ -52,6 +52,13 @@ def test_stellar_point_must_be_interior(sphere2):
         stellar_subdivide(sphere2, (0, 1, 2), point=outside)
 
 
+@pytest.mark.parametrize("point", [[0.1, 0.1], [0.1, 0.1, 0.1, 0.1], [[0.1, 0.1, 0.1]], 0.1])
+def test_stellar_point_of_the_wrong_shape_raises_with_the_expected_length(sphere2, point):
+    shape = np.shape(point)
+    with pytest.raises(GeometryError, match=re.escape(f"must have 3 coordinates, got shape {shape}")):
+        stellar_subdivide(sphere2, (0, 1, 2), point=point)
+
+
 def test_stellar_rejects_vertices_and_strangers(sphere2):
     with pytest.raises(ValueError):
         stellar_subdivide(sphere2, (0,))
