@@ -38,11 +38,13 @@ and ``solid_angle`` runs a stack of one.  Only the sampling and counting of
 Monte Carlo pairs go to the thread pool, each pair with its solver.
 
 The thread pool is process-wide: one ``ThreadPoolExecutor`` per thread
-setting, started on first use and kept, so a fill of a few Monte Carlo pairs
-pays no thread start-up, and a fill of k pairs starts at most k threads.  A fork hook forgets the pools in the child, which
-has none of its parent's threads.  Every caller fills before it evaluates;
-``sommerville_residuals`` fills every pair of its simplex, so a sweep over
-one simplex's faces runs its Monte Carlo angles as one parallel fill.
+count, started on first use and kept, so a fill of a few Monte Carlo pairs
+pays no thread start-up; an executor starts a thread only when none is idle,
+so a fill of k pairs starts at most k.  A fork hook forgets the pools in the
+child, which has none of its parent's threads.  Every caller fills before it
+evaluates; ``sommerville_residuals`` fills every pair of its simplex, so a
+sweep over one simplex's faces runs its Monte Carlo angles as one parallel
+fill.
 
 Monte Carlo streams are counter-based: each (seed, face index, top index,
 block index) tuple keys an independent SFC64 stream through a
