@@ -2,7 +2,7 @@
 
 Subcommands: generate, info, strata, angles, curvature, verify, subdivide,
 hull, sequence.  Exit codes: 0 on success/pass, 1 on a failed theorem check,
-2 on usage or input errors.
+2 on usage or input errors, 141 when stdout is closed early (``| head``).
 
 All randomized commands honor --seed; with the same seed and any --threads
 value the emitted report is byte-identical.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ from simcurv.subdivision import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+_EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
 
 class _CliError(Exception):
@@ -410,7 +412,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the interpreter's last flush of stdout reaches nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_STDOUT
     except (_CliError, ValueError, KeyError) as exc:  # GeometryError, FileFormatError included
         print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_INPUT_ERROR

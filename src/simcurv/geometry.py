@@ -46,11 +46,11 @@ evaluates; ``sommerville_residuals`` fills every pair of its simplex, so a
 sweep over one simplex's faces runs its Monte Carlo angles as one parallel
 fill.
 
-Monte Carlo streams are counter-based: each (seed, face index, top index,
-block index) tuple keys an independent SFC64 stream through a
-``SeedSequence``, so results are reproducible bit-for-bit regardless of
-thread count or evaluation order.  The membership count is the single
-numpy kernel in ``simcurv._kernels``.
+Monte Carlo streams are counter-based: each (seed, face index, top index)
+keys one SFC64 stream through a ``SeedSequence``, drawn in blocks of
+``STREAM_BLOCK_VECTORS`` vectors, so results are reproducible bit-for-bit
+regardless of thread count, evaluation order or block size.  The membership
+count is the single numpy kernel in ``simcurv._kernels``.
 
 Linear combinations of angles are held as ``_AngleForm``s: an integer
 constant and integer coefficients on (face, top-simplex) pairs, all over one
@@ -244,10 +244,10 @@ def _orthonormal_rows(vectors: np.ndarray, expect_rank: int) -> np.ndarray:
     return vt[:, :expect_rank]
 
 
-def _pair_stream(cfg: AngleConfig, eta_index: int, sigma_index: int, block: int):
+def _pair_stream(cfg: AngleConfig, eta_index: int, sigma_index: int):
     seq = np.random.SeedSequence(
         entropy=cfg.seed & (1 << 64) - 1,  # SeedSequence wants non-negative entropy
-        spawn_key=(eta_index, sigma_index, block),
+        spawn_key=(eta_index, sigma_index, 0),
     )
     return np.random.Generator(np.random.SFC64(seq))
 
@@ -263,17 +263,15 @@ def _estimate_cone_fraction(
     c = solve_t.shape[0]
     images = 2 * c
     vectors = max(-(-cfg.samples // images), 2)
+    rng = _pair_stream(cfg, eta_index, sigma_index)
     hits = square_sum = 0
     done = 0
-    block = 0
     while done < vectors:
         size = min(STREAM_BLOCK_VECTORS, vectors - done)
-        rng = _pair_stream(cfg, eta_index, sigma_index, block)
         block_hits, block_squares = count_cone_hits(rng.standard_normal((size, c)), solve_t)
         hits += block_hits
         square_sum += block_squares
         done += size
-        block += 1
     n = images * vectors
     p = hits / n
     # p is the mean of the per-vector count X over 2c; the sample variance of

@@ -12,6 +12,10 @@ One canonical JSON format for embedded complexes:
 
 Coordinates may be JSON numbers or exact "p/q" strings.  Exact rationals in
 reports are always serialized as "p/q" strings.
+
+A carrier sidecar lists {"simplex": [...], "carrier": [...]} entries: one per
+refined vertex as written, any others (older sidecars had every simplex) as
+read, each checked by ``SubdivisionPair``.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def load_points(stream: IO[str]) -> np.ndarray:
 def carrier_to_list(pair: SubdivisionPair) -> list[dict]:
     return [
         {"simplex": list(tau), "carrier": list(pair.carrier[tau])}
-        for tau in pair.refined.complex.simplices()
+        for tau in pair.refined.complex.simplices(0)
     ]
 
 

@@ -2,9 +2,10 @@
 
 The carrier of a refined simplex is the unique base simplex whose relative
 interior contains its barycenter: the union of its vertices' carriers.  The
-constructions know each vertex's carrier and take unions.  Only
-``compute_carriers`` locates anything, and only the refined vertices: one
-least-squares solve per base top simplex (tolerance 1e-9).
+constructions and ``compute_carriers`` give the vertices' carriers, and
+``SubdivisionPair`` takes every union once.  Only ``compute_carriers``
+locates anything: one least-squares solve per base top simplex (tolerance
+1e-9).
 """
 
 from __future__ import annotations
@@ -32,49 +33,39 @@ class SubdivisionPair:
     """A base complex, a refinement covering the same point set, and the
     carrier map from refined simplices to base simplices.
 
-    Construction raises ValueError unless the carrier map has exactly the
-    refined simplices as keys and only base simplices as values, and each
-    simplex's carrier is the union of its vertices' carriers: the base
-    simplex on which its barycenter's coordinates are positive.  The
-    carriers of the vertices are trusted."""
+    ``carrier`` needs an entry for every refined vertex; these are trusted.
+    Construction stores the full map in ``carrier``, deriving each other
+    simplex's carrier as the union of its vertices' carriers: the base
+    simplex on which its barycenter's coordinates are positive.  It raises
+    ValueError for a missing vertex entry, an entry outside the refined
+    complex, a carrier outside the base complex, or a wrong union."""
 
     base: EmbeddedComplex
     refined: EmbeddedComplex
     carrier: dict[Simplex, Simplex]
 
     def __post_init__(self):
-        refined = self.refined.complex
-        for tau in refined.simplices():
-            if tau not in self.carrier:
-                raise ValueError(f"refined simplex {list(tau)} has no carrier entry")
-            zeta = self.carrier[tau]
+        given, self.carrier = self.carrier, {}
+        for tau in self.refined.complex.simplices():  # vertices come first
+            if len(tau) == 1 and tau not in given:
+                raise ValueError(f"refined vertex {list(tau)} has no carrier entry")
+            union = tuple(sorted({w for v in tau for w in given[(v,)]}))
+            zeta = given.get(tau, union)
             if zeta not in self.base.complex:
                 raise ValueError(
                     f"carrier {list(zeta)} of {list(tau)} is not a simplex of the base complex"
                 )
-        union = _union_carriers(refined, {v: self.carrier[(v,)] for v in refined.vertices()})
-        for tau, expected in union.items():
-            if self.carrier[tau] != expected:
+            if zeta != union:
                 raise ValueError(
-                    f"carrier {list(self.carrier[tau])} of {list(tau)} is not {list(expected)}, "
+                    f"carrier {list(zeta)} of {list(tau)} is not {list(union)}, "
                     f"the union of its vertices' carriers"
                 )
-        for tau in self.carrier:
-            if tau not in refined:
+            self.carrier[tau] = zeta
+        for tau in given:
+            if tau not in self.carrier:
                 raise ValueError(
                     f"carrier entry for {list(tau)}, which is not a simplex of the refined complex"
                 )
-
-
-def _union_carriers(
-    refined: SimplicialComplex, vertex_carrier: dict[int, Simplex]
-) -> dict[Simplex, Simplex]:
-    """Each simplex of ``refined``, in ``simplices()`` order, mapped to the
-    sorted union of its vertices' carriers."""
-    return {
-        tau: tuple(sorted({w for v in tau for w in vertex_carrier[v]}))
-        for tau in refined.simplices()
-    }
 
 
 def _solve_columns(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -126,9 +117,9 @@ def locate_point(embedded: EmbeddedComplex, point: np.ndarray) -> Simplex | None
 
 
 def compute_carriers(base: EmbeddedComplex, refined: EmbeddedComplex) -> dict[Simplex, Simplex]:
-    """Carriers of a refinement known only by its geometry: the refined
-    vertices are located in ``base`` and every simplex gets their union.
-    Raises GeometryError for the first vertex that lies in no base simplex."""
+    """Carriers of the vertices of a refinement known only by its geometry,
+    located in ``base``; ``SubdivisionPair`` derives the rest.  Raises
+    GeometryError for the first vertex that lies in no base simplex."""
     vertices = refined.complex.vertices()
     found = locate_points(base, refined.points(vertices))
     for v, carrier in zip(vertices, found):
@@ -137,7 +128,7 @@ def compute_carriers(base: EmbeddedComplex, refined: EmbeddedComplex) -> dict[Si
                 f"barycenter of {(v,)} lies in no base simplex; the refinement "
                 f"does not cover the base complex within tolerance"
             )
-    return _union_carriers(refined.complex, dict(zip(vertices, found)))
+    return {(v,): carrier for v, carrier in zip(vertices, found)}
 
 
 def stellar_subdivide(
@@ -162,6 +153,8 @@ def stellar_subdivide(
         raise GeometryError(
             f"subdivision point must have {embedded.ambient_dim} coordinates, got shape {location.shape}"
         )
+    if not np.isfinite(location).all():  # NaN would pass the interior test
+        raise GeometryError("subdivision point has a non-finite coordinate")
     system = np.vstack([embedded.points(sigma).T, np.ones((1, len(sigma)))])
     target = np.append(location, 1.0)
     coeffs = np.linalg.lstsq(system, target, rcond=None)[0]
@@ -175,11 +168,10 @@ def stellar_subdivide(
             continue
         for drop in sigma:
             maximal.append(tuple(v for v in gamma if v != drop) + (new_vertex,))
-    refined_complex = SimplicialComplex(maximal)
     new_coords = dict(embedded.coordinates) | {new_vertex: location}
-    refined = EmbeddedComplex(refined_complex, new_coords, embedded.ambient_dim)
-    vertex_carrier = {v: (v,) for v in complex.vertices()} | {new_vertex: sigma}
-    return SubdivisionPair(embedded, refined, _union_carriers(refined_complex, vertex_carrier))
+    refined = EmbeddedComplex(SimplicialComplex(maximal), new_coords, embedded.ambient_dim)
+    carrier = {(v,): (v,) for v in complex.vertices()} | {(new_vertex,): sigma}
+    return SubdivisionPair(embedded, refined, carrier)
 
 
 def barycentric_subdivide(embedded: EmbeddedComplex) -> SubdivisionPair:
@@ -194,8 +186,6 @@ def barycentric_subdivide(embedded: EmbeddedComplex) -> SubdivisionPair:
         for perm in permutations(gamma):
             chain = [as_simplex(perm[: k + 1]) for k in range(len(perm))]
             maximal.append(tuple(vertex_of[f] for f in chain))
-    refined_complex = SimplicialComplex(maximal)
-    refined = EmbeddedComplex(refined_complex, coords, embedded.ambient_dim)
-    carrier = _union_carriers(refined_complex, dict(enumerate(order)))
-    return SubdivisionPair(embedded, refined, carrier)
+    refined = EmbeddedComplex(SimplicialComplex(maximal), coords, embedded.ambient_dim)
+    return SubdivisionPair(embedded, refined, {(i,): simplex for i, simplex in enumerate(order)})
 

@@ -2,7 +2,9 @@ import errno
 import io as stdio
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from simcurv.cli import _angle_config, build_parser, main
 from simcurv.curvature import DEFAULT_Z
 from simcurv.generators import boundary_of_simplex, cross_polytope, triple_book
 from simcurv.geometry import AngleConfig
-from simcurv.subdivision import stellar_subdivide
+from simcurv.subdivision import SubdivisionPair, stellar_subdivide
 
 
 def run_cli(capsys, *argv):
@@ -625,17 +627,11 @@ def _verify_subdivision(capsys, base_path, refined_path, carrier_path):
     )
 
 
-def _set_carrier(entries, simplex, carrier):
-    for entry in entries:
-        if entry["simplex"] == simplex:
-            entry["carrier"] = carrier
-
-
 def test_verify_subdivision_rejects_carrier_outside_base(capsys, tmp_path):
     # a_1 = 0, so the carrier of an edge never enters a form; it must still
     # be a simplex of the base
     base_path, refined_path, carrier_path, entries = _barycentric_sidecar(capsys, tmp_path)
-    _set_carrier(entries, [0, 4], [0, 9])
+    entries.append({"simplex": [0, 4], "carrier": [0, 9]})
     carrier_path.write_text(json.dumps(entries))
     code, out, err = _verify_subdivision(capsys, base_path, refined_path, carrier_path)
     assert code == 2
@@ -648,7 +644,7 @@ def test_verify_subdivision_rejects_wrong_base_carrier(capsys, tmp_path):
     # to the midpoint 4 of [0, 1]
     base_path, refined_path, carrier_path, entries = _barycentric_sidecar(capsys, tmp_path)
     assert _verify_subdivision(capsys, base_path, refined_path, carrier_path)[0] == 0
-    _set_carrier(entries, [0, 4], [0, 2])
+    entries.append({"simplex": [0, 4], "carrier": [0, 2]})
     carrier_path.write_text(json.dumps(entries))
     code, out, err = _verify_subdivision(capsys, base_path, refined_path, carrier_path)
     assert code == 2
@@ -658,11 +654,21 @@ def test_verify_subdivision_rejects_wrong_base_carrier(capsys, tmp_path):
 
 def test_verify_subdivision_rejects_duplicate_carrier_entries(capsys, tmp_path):
     base_path, refined_path, carrier_path, entries = _barycentric_sidecar(capsys, tmp_path)
-    carrier_path.write_text(json.dumps([{"simplex": [0, 4], "carrier": [0, 1, 2]}, *entries]))
+    carrier_path.write_text(json.dumps([{"simplex": [4], "carrier": [0, 1, 2]}, *entries]))
     code, out, err = _verify_subdivision(capsys, base_path, refined_path, carrier_path)
     assert code == 2
     assert out == ""
-    assert "more than one carrier entry for simplex [0, 4]" in err
+    assert "more than one carrier entry for simplex [4]" in err
+
+
+def test_carrier_out_writes_one_entry_per_refined_vertex(capsys, tmp_path):
+    base = boundary_of_simplex(3)
+    entries = _barycentric_sidecar(capsys, tmp_path)[3]
+    # refined vertex i is the barycenter of the i-th base simplex
+    assert entries == [
+        {"simplex": [i], "carrier": list(simplex)}
+        for i, simplex in enumerate(base.complex.simplices())
+    ]
 
 
 def _verify_stellar_book(capsys, tmp_path, base_overrides, refined_overrides):
@@ -798,14 +804,23 @@ def test_verify_subdivision_locates_carriers_like_the_sidecar(capsys, tmp_path, 
     assert code == 0
     refined_path = tmp_path / "refined.json"
     refined_path.write_text(out)
+    # the older sidecar format: one entry per refined simplex
+    full_path = tmp_path / "full.json"
+    refined = cio.complex_from_dict(json.loads(out))
+    vertices = cio.carrier_from_payload(json.loads(carrier_path.read_text()))
+    pair = SubdivisionPair(boundary_of_simplex(3), refined, vertices)
+    full_path.write_text(
+        json.dumps([{"simplex": list(t), "carrier": list(z)} for t, z in pair.carrier.items()])
+    )
     command = ["verify", "subdivision", str(refined_path), "--base", str(base_path)]
     for fmt in ("table", "json"):
         options = ["--samples", "2000", "--format", fmt]
         code, located, _ = run_cli(capsys, *command, *options)
         assert code == 0
-        code, given, _ = run_cli(capsys, *command, "--carrier", str(carrier_path), *options)
-        assert code == 0
-        assert located == given
+        for sidecar in (carrier_path, full_path):
+            code, given, _ = run_cli(capsys, *command, "--carrier", str(sidecar), *options)
+            assert code == 0
+            assert located == given
 
 
 def test_verify_subdivision_refuses_a_chord_through_the_base(capsys, tmp_path):
@@ -917,3 +932,36 @@ def test_input_errors_exit_2_with_one_plain_message(capsys, tmp_path, argv, mess
     overrides.write_text(json.dumps([{"simplex": [0, 9], "r": 3}]))
     argv = [arg.format(complex=path, overrides=overrides) for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["angles", "{complex}", "--samples", "1000", "--format", "json"],
+        ["generate", "cross-polytope", "8"],
+    ],
+    ids=["written-at-exit", "written-by-print"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, argv):
+    # the read end is closed before the CLI starts, as `| head -1` may close
+    # it before the CLI writes.  With stdout buffered (8 kB), the 4.4 kB of
+    # angles stay in the buffer until the end, the 24 kB complex does not
+    path = tmp_path / "dD3.json"
+    with path.open("w") as handle:
+        cio.dump_complex(boundary_of_simplex(3), handle)
+    src = Path(cio.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "simcurv", *(arg.format(complex=path) for arg in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**env, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")

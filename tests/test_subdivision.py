@@ -52,6 +52,14 @@ def test_stellar_point_must_be_interior(sphere2):
         stellar_subdivide(sphere2, (0, 1, 2), point=outside)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_stellar_point_must_be_finite(sphere2, bad):
+    # NaN coefficients passed the interior test, and the refined complex
+    # then named the new vertex 4, which the caller never gave
+    with pytest.raises(GeometryError, match="^subdivision point has a non-finite coordinate$"):
+        stellar_subdivide(sphere2, (0, 1, 2), point=[0.1, bad, 0.1])
+
+
 @pytest.mark.parametrize("point", [[0.1, 0.1], [0.1, 0.1, 0.1, 0.1], [[0.1, 0.1, 0.1]], 0.1])
 def test_stellar_point_of_the_wrong_shape_raises_with_the_expected_length(sphere2, point):
     shape = np.shape(point)
@@ -177,7 +185,9 @@ def test_batched_carriers_match_per_point_reference(make):
             assert pair.carrier[tau] == expected
             assert locate_point(pair.base, point) == expected
         located = compute_carriers(pair.base, pair.refined)
-        assert list(located.items()) == list(pair.carrier.items())
+        assert list(located) == list(pair.refined.complex.simplices(0))
+        derived = SubdivisionPair(pair.base, pair.refined, located).carrier
+        assert list(derived.items()) == list(pair.carrier.items())
 
 
 def test_subdivisions_locate_nothing(monkeypatch, sphere2, book):
@@ -241,8 +251,9 @@ def test_uncovered_refinement_names_first_uncovered_simplex(sphere2):
         # a_1 = 0, so the check never builds this carrier's form
         ((0, 4), (0, 9), "carrier [0, 9] of [0, 4] is not a simplex of the base"),
         ((0, 4, 10), (0, 1, 9), "carrier [0, 1, 9] of [0, 4, 10] is not a simplex of the base"),
-        ((0, 5), None, "refined simplex [0, 5] has no carrier entry"),
+        ((5,), None, "refined vertex [5] has no carrier entry"),
         ((0, 99), (0,), "entry for [0, 99], which is not a simplex of the refined"),
+        ((4,), (0, 9), "carrier [0, 9] of [4] is not a simplex of the base"),
     ],
 )
 def test_subdivision_pair_rejects_bad_carrier(sphere2, tau, zeta, message):
@@ -285,3 +296,14 @@ def test_carrier_must_be_the_union_of_its_vertex_carriers(sphere2):
         message = f"carrier {list(wrong)} of {list(tau)} is not {list(true)}, the union"
         with pytest.raises(ValueError, match=re.escape(message)):
             SubdivisionPair(pair.base, pair.refined, carrier)
+
+
+def test_vertex_carriers_determine_the_full_map(sphere2, book):
+    for embedded in (sphere2, book):
+        top = embedded.complex.simplices(embedded.complex.dim)[0]
+        for pair in (barycentric_subdivide(embedded), stellar_subdivide(embedded, top[:2])):
+            assert list(pair.carrier) == list(pair.refined.complex.simplices())
+            vertices = {tau: pair.carrier[tau] for tau in pair.refined.complex.simplices(0)}
+            given = SubdivisionPair(pair.base, pair.refined, dict(pair.carrier))
+            derived = SubdivisionPair(pair.base, pair.refined, vertices)
+            assert list(given.carrier.items()) == list(derived.carrier.items())
