@@ -169,38 +169,36 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    io.dump_complex(_GENERATORS[args.kind](args), sys.stdout)
+    count, make = _GENERATORS[args.kind]
+    if len(args.args) != count:
+        plural = "" if count == 1 else "s"
+        raise _CliError(f"generator '{args.kind}' takes {count} argument{plural}, got {len(args.args)}")
+    io.dump_complex(make(args), sys.stdout)
     return EXIT_OK
 
 
 def _dim_arg(args) -> int:
-    if not args.args:
-        raise _CliError(f"generator '{args.kind}' needs a dimension argument")
     try:
         return int(args.args[0])
     except ValueError as exc:
         raise _CliError(f"bad dimension {args.args[0]!r}") from exc
 
 
-def _file_complex(args, position: int):
-    """The embedded complex in the generator's file argument ``position``."""
-    if len(args.args) <= position:
-        raise _CliError(f"generator '{args.kind}' needs a complex file argument")
-    return _read_complex(args.args[position])[0]
+def _file_complexes(args):
+    """The embedded complexes in the generator's file arguments."""
+    return [_read_complex(path)[0] for path in args.args]
 
 
-# The corpus generators: the parser's choices and their dispatch.
+# The corpus generators: the parser's choices, their argument counts and dispatch.
 _GENERATORS = {
-    "simplex-boundary": lambda args: generators.boundary_of_simplex(_dim_arg(args)),
-    "solid-simplex": lambda args: generators.solid_simplex(_dim_arg(args)),
-    "cross-polytope": lambda args: generators.cross_polytope(_dim_arg(args)),
-    "triple-book": lambda args: generators.triple_book(),
-    "random-simplex": lambda args: generators.random_simplex(_dim_arg(args), seed=args.seed),
-    "cone": lambda args: generators.embedded_cone(_file_complex(args, 0))[0],
-    "suspension": lambda args: generators.embedded_suspension(_file_complex(args, 0))[0],
-    "join": lambda args: generators.embedded_join(
-        _file_complex(args, 0), _file_complex(args, 1)
-    )[0],
+    "simplex-boundary": (1, lambda args: generators.boundary_of_simplex(_dim_arg(args))),
+    "solid-simplex": (1, lambda args: generators.solid_simplex(_dim_arg(args))),
+    "cross-polytope": (1, lambda args: generators.cross_polytope(_dim_arg(args))),
+    "triple-book": (0, lambda args: generators.triple_book()),
+    "random-simplex": (1, lambda args: generators.random_simplex(_dim_arg(args), seed=args.seed)),
+    "cone": (1, lambda args: generators.embedded_cone(*_file_complexes(args))[0]),
+    "suspension": (1, lambda args: generators.embedded_suspension(*_file_complexes(args))[0]),
+    "join": (2, lambda args: generators.embedded_join(*_file_complexes(args))[0]),
 }
 
 

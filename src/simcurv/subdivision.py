@@ -4,8 +4,9 @@ The carrier of a refined simplex is the unique base simplex whose relative
 interior contains its barycenter: the union of its vertices' carriers.  The
 constructions and ``compute_carriers`` give the vertices' carriers, and
 ``SubdivisionPair`` takes every union once.  Only ``compute_carriers``
-locates anything: one least-squares solve per base top simplex (tolerance
-1e-9).
+locates anything: one least-squares solve of barycentric coordinates per
+base top simplex for every point still unlocated (tolerance 1e-9).
+``stellar_subdivide`` tests its point with the same solve.
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ import numpy as np
 from simcurv.complexes import Simplex, SimplicialComplex, as_simplex
 from simcurv.geometry import DEGENERACY_TOL, EmbeddedComplex, GeometryError
 
-# Right-hand-side columns per location solve.  Thousands of points in one
-# solve (2594 for the barycenters of the third barycentric subdivision of a
-# tetrahedron boundary) made OpenBLAS start its own threads in some
-# processes: there ``locate_points`` took 0.24 s instead of 0.02 s on a
-# 2-vCPU VM.  Chunks of 1024 columns stay on the calling thread and give the
-# same coefficients, bit for bit.
-SOLVE_CHUNK_COLUMNS = 1024
-
 
 @dataclass
 class SubdivisionPair:
@@ -37,14 +30,20 @@ class SubdivisionPair:
     Construction stores the full map in ``carrier``, deriving each other
     simplex's carrier as the union of its vertices' carriers: the base
     simplex on which its barycenter's coordinates are positive.  It raises
-    ValueError for a missing vertex entry, an entry outside the refined
-    complex, a carrier outside the base complex, or a wrong union."""
+    ValueError for complexes of different (ambient) dimensions, a missing
+    vertex entry, an entry outside the refined complex, a carrier outside
+    the base complex, or a wrong union."""
 
     base: EmbeddedComplex
     refined: EmbeddedComplex
     carrier: dict[Simplex, Simplex]
 
     def __post_init__(self):
+        (d, n), (rd, rn) = [(e.complex.dim, e.ambient_dim) for e in (self.base, self.refined)]
+        if (d, n) != (rd, rn):
+            raise ValueError(
+                f"the refined complex has dimension {rd} in R^{rn}, the base complex {d} in R^{n}"
+            )
         given, self.carrier = self.carrier, {}
         for tau in self.refined.complex.simplices():  # vertices come first
             if len(tau) == 1 and tau not in given:
@@ -68,15 +67,12 @@ class SubdivisionPair:
                 )
 
 
-def _solve_columns(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solutions of ``system`` for every column of ``rhs``,
-    solved ``SOLVE_CHUNK_COLUMNS`` columns at a time."""
-    return np.hstack(
-        [
-            np.linalg.lstsq(system, rhs[:, start : start + SOLVE_CHUNK_COLUMNS], rcond=None)[0]
-            for start in range(0, rhs.shape[1], SOLVE_CHUNK_COLUMNS)
-        ]
-    )
+def _barycentric(embedded: EmbeddedComplex, simplex: Simplex, targets: np.ndarray):
+    """The system of ``simplex``'s vertices over a row of ones, and the
+    least-squares barycentric coordinates in it of ``targets``, points over
+    a row of ones, one per column."""
+    system = np.vstack([embedded.points(simplex).T, np.ones((1, len(simplex)))])
+    return system, np.linalg.lstsq(system, targets, rcond=None)[0]
 
 
 def locate_points(embedded: EmbeddedComplex, points: np.ndarray) -> list[Simplex | None]:
@@ -90,23 +86,25 @@ def locate_points(embedded: EmbeddedComplex, points: np.ndarray) -> list[Simplex
     unlocated at once.
     """
     points = np.asarray(points, dtype=float)
+    if points.shape[1:] != (embedded.ambient_dim,):
+        raise GeometryError(
+            f"points of length {points.shape[-1]} cannot be located in R^{embedded.ambient_dim}"
+        )
     found: list[Simplex | None] = [None] * len(points)
     targets = np.vstack([points.T, np.ones((1, len(points)))])
     todo = np.arange(len(points))
     for gamma in sorted(embedded.complex.maximal):
         if not len(todo):
             break
-        system = np.vstack([embedded.points(gamma).T, np.ones((1, len(gamma)))])
         rhs = targets[:, todo]
-        coeffs = _solve_columns(system, rhs)
-        support = coeffs > DEGENERACY_TOL
-        hits = np.flatnonzero((coeffs.min(axis=0) >= -DEGENERACY_TOL) & support.any(axis=0))
+        system, coeffs = _barycentric(embedded, gamma, rhs)
+        hits = np.flatnonzero(coeffs.min(axis=0) >= -DEGENERACY_TOL)
         if not len(hits):
             continue
         residual = np.abs(system @ coeffs[:, hits] - rhs[:, hits]).max(axis=0)
-        hits = hits[residual <= DEGENERACY_TOL]
+        hits = hits[residual <= DEGENERACY_TOL]  # coordinates sum to ~1: no support is empty
         for j in hits:
-            found[todo[j]] = tuple(v for v, kept in zip(gamma, support[:, j]) if kept)
+            found[todo[j]] = tuple(v for v, c in zip(gamma, coeffs[:, j]) if c > DEGENERACY_TOL)
         todo = np.delete(todo, hits)
     return found
 
@@ -125,7 +123,7 @@ def compute_carriers(base: EmbeddedComplex, refined: EmbeddedComplex) -> dict[Si
     for v, carrier in zip(vertices, found):
         if carrier is None:
             raise GeometryError(
-                f"barycenter of {(v,)} lies in no base simplex; the refinement "
+                f"refined vertex {[v]} lies in no base simplex; the refinement "
                 f"does not cover the base complex within tolerance"
             )
     return {(v,): carrier for v, carrier in zip(vertices, found)}
@@ -155,9 +153,8 @@ def stellar_subdivide(
         )
     if not np.isfinite(location).all():  # NaN would pass the interior test
         raise GeometryError("subdivision point has a non-finite coordinate")
-    system = np.vstack([embedded.points(sigma).T, np.ones((1, len(sigma)))])
     target = np.append(location, 1.0)
-    coeffs = np.linalg.lstsq(system, target, rcond=None)[0]
+    system, coeffs = _barycentric(embedded, sigma, target)
     if np.abs(system @ coeffs - target).max() > DEGENERACY_TOL or coeffs.min() <= DEGENERACY_TOL:
         raise GeometryError(f"subdivision point must lie in the relative interior of {sigma}")
     new_vertex = max(complex.vertices()) + 1

@@ -14,7 +14,7 @@ from simcurv.cli import _angle_config, build_parser, main
 from simcurv.curvature import DEFAULT_Z
 from simcurv.generators import boundary_of_simplex, cross_polytope, triple_book
 from simcurv.geometry import AngleConfig
-from simcurv.subdivision import SubdivisionPair, stellar_subdivide
+from simcurv.subdivision import SubdivisionPair, barycentric_subdivide, stellar_subdivide
 
 
 def run_cli(capsys, *argv):
@@ -915,22 +915,54 @@ def test_run_commands_print_one_table_at_any_thread_count(capsys, sphere3_file, 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["generate", "simplex-boundary"], "generator 'simplex-boundary' needs a dimension argument"),
+        (["generate", "simplex-boundary"], "generator 'simplex-boundary' takes 1 argument, got 0"),
+        (["generate", "simplex-boundary", "3", "4"], "generator 'simplex-boundary' takes 1 argument, got 2"),
+        (["generate", "triple-book", "5"], "generator 'triple-book' takes 0 arguments, got 1"),
         (["generate", "simplex-boundary", "x"], "bad dimension 'x'"),
         (["verify", "subdivision", "{complex}"], "verify subdivision requires --base"),
+        (
+            ["verify", "subdivision", "{refined}", "--base", "{sphere3}"],
+            "points of length 3 cannot be located in R^4",
+        ),
+        (
+            ["verify", "subdivision", "{refined}", "--base", "{sphere3}", "--carrier", "{carrier}"],
+            "the refined complex has dimension 2 in R^3, the base complex 3 in R^4",
+        ),
         (["subdivide", "{complex}", "--stellar", "[0, 9]"], "(0, 9) is not in the complex"),
         (["strata", "{complex}", "--overrides", "{overrides}"], "override references unknown simplex (0, 9)"),
     ],
-    ids=["no-dimension", "bad-dimension", "no-base", "unknown-stellar", "unknown-override"],
+    ids=[
+        "no-dimension",
+        "two-dimensions",
+        "book-argument",
+        "bad-dimension",
+        "no-base",
+        "base-of-another-dimension",
+        "base-of-another-dimension-with-carrier",
+        "unknown-stellar",
+        "unknown-override",
+    ],
 )
 def test_input_errors_exit_2_with_one_plain_message(capsys, tmp_path, argv, message):
-    # a KeyError's message is printed as it is, not as its repr in quotes
-    path = tmp_path / "dD3.json"
-    with path.open("w") as handle:
-        cio.dump_complex(boundary_of_simplex(3), handle)
-    overrides = tmp_path / "over.json"
-    overrides.write_text(json.dumps([{"simplex": [0, 9], "r": 3}]))
-    argv = [arg.format(complex=path, overrides=overrides) for arg in argv]
+    # a KeyError's message is printed as it is, not as its repr in quotes.
+    # Extra generator arguments were ignored; a base of another dimension
+    # ended in numpy's "Incompatible dimensions", or with --carrier in a
+    # subdivision check that failed and exited 1
+    pair = barycentric_subdivide(boundary_of_simplex(3))
+    files = {
+        name: tmp_path / f"{name}.json"
+        for name in ("complex", "refined", "sphere3", "carrier", "overrides")
+    }
+    for name, embedded in [
+        ("complex", pair.base),
+        ("refined", pair.refined),
+        ("sphere3", boundary_of_simplex(4)),
+    ]:
+        with files[name].open("w") as handle:
+            cio.dump_complex(embedded, handle)
+    files["carrier"].write_text(json.dumps(cio.carrier_to_list(pair)))
+    files["overrides"].write_text(json.dumps([{"simplex": [0, 9], "r": 3}]))
+    argv = [arg.format(**files) for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -212,6 +212,15 @@ def test_locate_points_batch_matches_single_calls(sphere2):
     assert locate_points(sphere2, np.zeros((0, 3))) == []
 
 
+def test_location_refuses_points_of_another_length(sphere2):
+    # numpy's "Incompatible dimensions" was the message
+    message = "points of length 4 cannot be located in R^3"
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        locate_point(sphere2, np.zeros(4))
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        compute_carriers(sphere2, boundary_of_simplex(4))
+
+
 def test_locate_points_first_match_wins_on_overlap():
     # two triangles overlapping in the plane: the first in sorted order wins
     square = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, 1.0)}
@@ -236,9 +245,9 @@ def test_uncovered_refinement_names_first_uncovered_simplex(sphere2):
         if _reference_locate(sphere2, lifted.barycenter(tau)) is None
     )
     assert first == (apex,)
-    with pytest.raises(GeometryError, match=re.escape(f"barycenter of {first} lies")):
+    with pytest.raises(GeometryError, match=re.escape(f"refined vertex {list(first)} lies")):
         compute_carriers(sphere2, lifted)
-    with pytest.raises(GeometryError, match=re.escape("barycenter of (0,) lies")):
+    with pytest.raises(GeometryError, match=re.escape("refined vertex [0] lies")):
         compute_carriers(
             sphere2,
             EmbeddedComplex(sphere2.complex, {v: 2 * p for v, p in sphere2.coordinates.items()}),
@@ -267,23 +276,28 @@ def test_subdivision_pair_rejects_bad_carrier(sphere2, tau, zeta, message):
         SubdivisionPair(pair.base, pair.refined, carrier)
 
 
-def test_chunked_carrier_solves_match_one_solve(monkeypatch):
-    import simcurv.subdivision as subdivision
-
+def test_wide_solve_locates_every_barycenter_in_its_carrier():
+    # 2594 points in each base top simplex's one solve; each barycenter lies
+    # in the relative interior of its carrier, the union of vertex carriers
     base = boundary_of_simplex(3)
     for _ in range(2):
         base = barycentric_subdivide(base).refined
-    refined = barycentric_subdivide(base).refined  # third subdivision
-    points = np.array([refined.barycenter(tau) for tau in refined.complex.simplices()])
-    assert len(points) > 2 * subdivision.SOLVE_CHUNK_COLUMNS
-    targets = np.vstack([points.T, np.ones((1, len(points)))])
-    for gamma in sorted(base.complex.maximal):
-        system = np.vstack([base.points(gamma).T, np.ones((1, len(gamma)))])
-        whole, *_ = np.linalg.lstsq(system, targets, rcond=None)
-        assert np.array_equal(subdivision._solve_columns(system, targets), whole)
-    chunked = locate_points(base, points)
-    monkeypatch.setattr(subdivision, "SOLVE_CHUNK_COLUMNS", len(points))
-    assert locate_points(base, points) == chunked
+    pair = barycentric_subdivide(base)
+    simplices = pair.refined.complex.simplices()
+    located = locate_points(base, pair.refined.barycenters(simplices))
+    assert len(located) == 2594
+    assert list(zip(simplices, located)) == list(pair.carrier.items())
+
+
+def test_subdivision_pair_rejects_complexes_of_other_dimensions(sphere2):
+    # both were accepted, with every vertex carrier a base simplex
+    pair = barycentric_subdivide(sphere2)
+    with pytest.raises(ValueError, match=re.escape("has dimension 2 in R^3, the base complex 3 in R^4")):
+        SubdivisionPair(boundary_of_simplex(4), pair.refined, pair.carrier)
+    lifted = {v: [*p, 0.0] for v, p in sphere2.coordinates.items()}
+    refined = EmbeddedComplex(sphere2.complex, lifted)
+    with pytest.raises(ValueError, match=re.escape("has dimension 2 in R^4, the base complex 2 in R^3")):
+        SubdivisionPair(sphere2, refined, {(v,): (v,) for v in range(4)})
 
 
 def test_carrier_must_be_the_union_of_its_vertex_carriers(sphere2):
