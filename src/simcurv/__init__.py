@@ -40,7 +40,6 @@ from simcurv.curvature import (
     TheoremReport,
     ascending_stratified_curvature,
     carrier_alternating_sum,
-    carrier_alternating_sum_check,
     cone_vertex_curvature_factor,
     curvature_table,
     gauss_bonnet_check,
@@ -83,7 +82,6 @@ __all__ = [
     "bernoulli_poly",
     "binomial",
     "carrier_alternating_sum",
-    "carrier_alternating_sum_check",
     "cone_vertex_curvature_factor",
     "convex_hull_boundary",
     "curvature_table",

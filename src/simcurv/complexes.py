@@ -173,25 +173,6 @@ class SimplicialComplex:
             len(self._top_cofaces[s]) == 2 for s in self.simplices(self.dim - 1)
         )
 
-    def link_fvector_identity_check(self, p: int) -> bool:
-        """Check 2 f_(n-p-2)(link) = (n-p) f_(n-p-1)(link) over all p-simplices.
-
-        Valid on two-pseudomanifolds for 0 <= p <= n-2.
-        """
-        n = self.dim
-        if not self.is_two_pseudomanifold():
-            raise ValueError("identity only applies to two-pseudomanifolds")
-        if not 0 <= p <= n - 2:
-            raise ValueError(f"p must satisfy 0 <= p <= {n - 2}")
-        for tau in self.simplices(p):
-            lk = self.link(tau)
-            f = lk.f_vector()
-            f_lower = f[n - p - 2] if n - p - 2 < len(f) else 0
-            f_upper = f[n - p - 1] if n - p - 1 < len(f) else 0
-            if 2 * f_lower != (n - p) * f_upper:
-                return False
-        return True
-
     # -- transformations -----------------------------------------------------
 
     def relabel(self, mapping: Mapping[int, int]) -> "SimplicialComplex":

@@ -27,17 +27,20 @@ hold only pairs of codimension >= 2, which the fill computes and the
 evaluation sums.  The constant is the same exact rational, so every value
 is the one the unfolded form gives.
 
-Every curvature and every check (Gauss-Bonnet, vanishing, Sommerville, and
-subdivision through ``curvature_table``) hands its forms to ``_evaluate``,
-which fills the cache with all their pairs in one batch and evaluates each
-form.  A value is exact when its standard error is 0, and every verdict is
-``_verdict(residual, std_error, z)``.  Gauss-Bonnet judges only its total;
-its rows are the ascending curvatures, as ``curvature`` prints them.
+Every curvature and every check (Gauss-Bonnet, vanishing, Sommerville and
+subdivision) hands its forms to ``_evaluate``, which fills the cache with
+all their pairs in one batch and evaluates each form.  A subdivision row's
+fields are forms over both complexes' angles, each side's pairs tagged with
+its side (``_Sides``, ``_combine``).  A value is exact when its standard
+error is 0, and every verdict is ``_verdict(residual, std_error, z)``.
+Gauss-Bonnet judges only its total; its rows are the ascending curvatures,
+as ``curvature`` prints them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -131,6 +134,31 @@ def _evaluate(book: AngleCache, forms: dict) -> dict:
     evaluate each form; the result is keyed like ``forms``."""
     book.fill({pair for form in forms.values() for pair in form.coeffs})
     return {key: form.evaluate(book) for key, form in forms.items()}
+
+
+class _Sides(dict):
+    """Angle caches by side as one book for ``_evaluate``: ``fill`` gives each
+    cache its side's pairs in one batch, and ``_values`` holds every cached
+    angle under its pair tagged (side, eta, sigma)."""
+
+    def fill(self, pairs: Iterable[tuple]) -> None:
+        self._values = {}
+        for side, book in self.items():
+            book.fill({key[1:] for key in pairs if key[0] == side})
+            self._values.update(((side, *key), angle) for key, angle in book._values.items())
+
+
+def _combine(*parts: tuple[Fraction | int, str, _AngleForm]) -> _AngleForm:
+    """The sum of weight * form over (weight, side, form) parts as one form of
+    ``_Sides``' tagged pairs, over one denominator; a zero weight adds nothing."""
+    den = math.lcm(*[w.denominator * form.den for w, _, form in parts])
+    const, coeffs = 0, {}
+    for w, side, form in parts:
+        scale = w.numerator * (den // (w.denominator * form.den))
+        const += scale * form.const
+        if scale and form.coeffs:
+            coeffs.update(((side, *pair), scale * c) for pair, c in form.coeffs.items())
+    return _AngleForm(const, coeffs, den)
 
 
 # -- the three curvatures ----------------------------------------------------
@@ -241,14 +269,7 @@ class TheoremReport:
     abs_tol: ClassVar[float] = DEFAULT_ABS_TOL
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "z_threshold": self.z_threshold,
-            "abs_tol": self.abs_tol,
-            "summary": self.summary,
-            "rows": self.rows,
-        }
+        return {k: getattr(self, k) for k in ("name", "passed", "z_threshold", "abs_tol", "summary", "rows")}
 
 
 def _require_z(z: float) -> None:
@@ -259,6 +280,11 @@ def _require_z(z: float) -> None:
 def _verdict(residual: float, std_error: float, z: float) -> bool:
     """Exact (standard error 0): within ``DEFAULT_ABS_TOL``; else within z sigma."""
     return abs(residual) <= (z * std_error if std_error else DEFAULT_ABS_TOL)
+
+
+def _worst(rows: list[dict]) -> dict:
+    worst = max(rows, key=lambda r: abs(r["residual"]))
+    return {"simplices": len(rows), "worst_residual": worst["residual"], "worst_simplex": worst["simplex"]}
 
 
 def _row(simplex: Simplex, cv: CurvatureValue) -> dict:
@@ -357,18 +383,11 @@ def vanishing_check(
             exact_failures += 1
             row["pass"] = False
         rows.append(row)
-    passed = all(r["pass"] for r in rows)
-    worst = max(rows, key=lambda r: abs(r["residual"]))
     return TheoremReport(
         name="vanishing",
-        passed=passed,
+        passed=all(r["pass"] for r in rows),
         z_threshold=z,
-        summary={
-            "simplices": len(rows),
-            "worst_residual": worst["residual"],
-            "worst_simplex": worst["simplex"],
-            "analytic_zero_failures": exact_failures,
-        },
+        summary={**_worst(rows), "analytic_zero_failures": exact_failures},
         rows=rows,
     )
 
@@ -383,52 +402,50 @@ def subdivision_relation_check(
     """For every refined simplex tau with carrier zeta:
     a_(dim zeta) * K(tau)  equals  a_(dim tau) * K(zeta),
     where K is the ascending curvature in the respective complex; when the
-    dimensions agree the curvatures themselves must agree."""
+    dimensions agree the curvatures themselves must agree.  Each row field
+    is one form over both complexes' angles."""
     _require_z(z)
-    base_values = dict(curvature_table(pair.base, "ascending", base_assignment, cfg))
-    rows = []
-    for tau, left in curvature_table(pair.refined, "ascending", refined_assignment, cfg):
-        s = len(tau) - 1
+    sides = {"base": (pair.base, base_assignment), "refined": (pair.refined, refined_assignment)}
+    curvatures = {}
+    for side, (embedded, assignment) in sides.items():
+        complex, assignment = embedded.complex, _require_assignment(embedded, assignment)
+        curvatures[side] = {s: _form("ascending", s, complex, assignment) for s in complex.simplices()}
+    forms, keys = {}, {}
+    for tau, left in curvatures["refined"].items():
         zeta = pair.carrier[tau]
-        p = len(zeta) - 1
-        a_p = angle_defect_term(p)
-        a_s = angle_defect_term(s)
-        right = base_values[zeta]
-        # + 0.0 turns the -0.0 of a zero weight times a negative value into 0.0
-        lhs = float(a_p) * left.value + 0.0
-        rhs = float(a_s) * right.value + 0.0
-        residual = lhs - rhs
-        std_error = math.hypot(float(a_p) * left.std_error, float(a_s) * right.std_error)
-        ok = _verdict(residual, std_error, z)
+        right = curvatures["base"][zeta]
+        # the forms of a row whose curvatures are both constants depend only on
+        # the dimensions and the constants: such rows share them
+        constant = not (left.coeffs or right.coeffs)
+        key = keys[tau] = ("constant", len(tau), len(zeta), left.const, right.const) if constant else tau
+        if (key, "residual") in forms:
+            continue
+        a_p, a_s = angle_defect_term(len(zeta) - 1), angle_defect_term(len(tau) - 1)
+        forms[key, "lhs"] = _combine((a_p, "refined", left))
+        forms[key, "rhs"] = _combine((a_s, "base", right))
+        forms[key, "residual"] = _combine((a_p, "refined", left), (-a_s, "base", right))
+        if len(tau) == len(zeta):
+            forms[key, "equal_residual"] = _combine((1, "refined", left), (-1, "base", right))
+    values = _evaluate(_Sides({side: AngleCache(e, cfg) for side, (e, _) in sides.items()}), forms)
+    rows = []
+    for tau, key in keys.items():
+        residual, equal = values[key, "residual"], values.get((key, "equal_residual"))
         row = {
             "simplex": list(tau),
-            "carrier": list(zeta),
-            "lhs": lhs,
-            "rhs": rhs,
-            "residual": residual,
-            "std_error": std_error,
-            "exact": std_error == 0.0,
-            "pass": ok,
+            "carrier": list(pair.carrier[tau]),
+            "lhs": values[key, "lhs"].value,
+            "rhs": values[key, "rhs"].value,
+            "residual": residual.value,
+            "std_error": residual.std_error,
+            "exact": residual.exact,
+            "pass": _verdict(residual.value, residual.std_error, z)
+            and (equal is None or _verdict(equal.value, equal.std_error, z)),
         }
-        if s == p:
-            eq_residual = left.value - right.value
-            eq_std = math.hypot(left.std_error, right.std_error)
-            row["equal_residual"] = eq_residual
-            row["pass"] = ok and _verdict(eq_residual, eq_std, z)
+        if equal is not None:
+            row["equal_residual"] = equal.value
         rows.append(row)
     passed = all(r["pass"] for r in rows)
-    worst = max(rows, key=lambda r: abs(r["residual"]))
-    return TheoremReport(
-        name="subdivision",
-        passed=passed,
-        z_threshold=z,
-        summary={
-            "simplices": len(rows),
-            "worst_residual": worst["residual"],
-            "worst_simplex": worst["simplex"],
-        },
-        rows=rows,
-    )
+    return TheoremReport(name="subdivision", passed=passed, z_threshold=z, summary=_worst(rows), rows=rows)
 
 
 def sommerville_check(
@@ -476,37 +493,24 @@ def sommerville_check(
 def carrier_alternating_sum(pair: SubdivisionPair, tau: Simplex, alpha: Simplex) -> int:
     """sum over refined simplices eta >= tau with carrier alpha of
     (-1)^(dim eta - dim tau), tau itself included when its carrier is alpha."""
-    tau = as_simplex(tau)
-    alpha = as_simplex(alpha)
+    tau, alpha = as_simplex(tau), as_simplex(alpha)
     if alpha not in pair.base.complex:
         raise KeyError(f"{alpha} is not a simplex of the base complex")
-    zeta = pair.carrier[tau]
-    if not set(zeta) <= set(alpha):
-        raise ValueError(f"carrier {zeta} of {tau} is not a face of {alpha}")
-    s = len(tau) - 1
-    total = 0
-    for eta in pair.refined.complex.star(tau):
-        if pair.carrier[eta] == alpha:
-            total += (-1) ** (len(eta) - 1 - s)
-    return total
-
-
-def carrier_alternating_sum_check(
-    pair: SubdivisionPair, tau: Simplex, alpha: Simplex
-) -> bool:
-    """The alternating sum must equal (-1)^(dim alpha - dim tau), exactly."""
-    tau = as_simplex(tau)
-    alpha = as_simplex(alpha)
-    expected = (-1) ** (len(alpha) - len(tau))
-    return carrier_alternating_sum(pair, tau, alpha) == expected
+    if not set(pair.carrier[tau]) <= set(alpha):
+        raise ValueError(f"carrier {pair.carrier[tau]} of {tau} is not a face of {alpha}")
+    star = pair.refined.complex.star(tau)
+    return sum((-1) ** (len(eta) - len(tau)) for eta in star if pair.carrier[eta] == alpha)
 
 
 def carrier_alternating_sums_hold(pair: SubdivisionPair) -> bool:
-    """Sweep the alternating-sum identity over every valid (tau, alpha)."""
-    base = pair.base.complex
+    """The alternating sum equals (-1)^(dim alpha - dim tau), exactly, for
+    every refined tau and every alpha in the base star of its carrier; each
+    refined star is grouped by carrier once."""
     for tau in pair.refined.complex.simplices():
-        zeta = pair.carrier[tau]
-        for alpha in base.star(zeta):
-            if not carrier_alternating_sum_check(pair, tau, alpha):
+        sums = Counter()
+        for eta in pair.refined.complex.star(tau):
+            sums[pair.carrier[eta]] += (-1) ** (len(eta) - len(tau))
+        for alpha in pair.base.complex.star(pair.carrier[tau]):
+            if sums[alpha] != (-1) ** (len(alpha) - len(tau)):
                 return False
     return True

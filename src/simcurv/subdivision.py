@@ -5,8 +5,10 @@ interior contains its barycenter: the union of its vertices' carriers.  The
 constructions and ``compute_carriers`` give the vertices' carriers, and
 ``SubdivisionPair`` takes every union once.  Only ``compute_carriers``
 locates anything: one least-squares solve of barycentric coordinates per
-base top simplex for every point still unlocated (tolerance 1e-9).
-``stellar_subdivide`` tests its point with the same solve.
+base top simplex for every point still unlocated, relative to the simplex's
+first vertex in units of the base's spread (as ``convex_hull_boundary``
+measures it), so the tolerance 1e-9 is relative and carriers do not change
+under scaling or translation.  ``stellar_subdivide`` tests its point so.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ class SubdivisionPair:
     simplex on which its barycenter's coordinates are positive.  It raises
     ValueError for complexes of different (ambient) dimensions, a missing
     vertex entry, an entry outside the refined complex, a carrier outside
-    the base complex, or a wrong union."""
+    the base complex, or a wrong union, and when the refined simplices
+    carried by a base simplex alpha do not subdivide it: the sum of
+    (-1)^dim eta over them must be (-1)^dim alpha, an open cell's Euler
+    characteristic."""
 
     base: EmbeddedComplex
     refined: EmbeddedComplex
@@ -45,6 +50,7 @@ class SubdivisionPair:
                 f"the refined complex has dimension {rd} in R^{rn}, the base complex {d} in R^{n}"
             )
         given, self.carrier = self.carrier, {}
+        euler = dict.fromkeys(self.base.complex.simplices(), 0)
         for tau in self.refined.complex.simplices():  # vertices come first
             if len(tau) == 1 and tau not in given:
                 raise ValueError(f"refined vertex {list(tau)} has no carrier entry")
@@ -60,26 +66,41 @@ class SubdivisionPair:
                     f"the union of its vertices' carriers"
                 )
             self.carrier[tau] = zeta
+            euler[zeta] += (-1) ** (len(tau) - 1)
         for tau in given:
             if tau not in self.carrier:
                 raise ValueError(
                     f"carrier entry for {list(tau)}, which is not a simplex of the refined complex"
                 )
+        for alpha, chi in euler.items():
+            if chi != (-1) ** (len(alpha) - 1):
+                raise ValueError(
+                    f"the refined simplices carried by {list(alpha)} do not subdivide it: "
+                    f"their Euler characteristic is {chi}, not {(-1) ** (len(alpha) - 1)}"
+                )
 
 
-def _barycentric(embedded: EmbeddedComplex, simplex: Simplex, targets: np.ndarray):
-    """The system of ``simplex``'s vertices over a row of ones, and the
-    least-squares barycentric coordinates in it of ``targets``, points over
-    a row of ones, one per column."""
-    system = np.vstack([embedded.points(simplex).T, np.ones((1, len(simplex)))])
-    return system, np.linalg.lstsq(system, targets, rcond=None)[0]
+def _spread(embedded: EmbeddedComplex) -> float:
+    return float(np.ptp(embedded.points(embedded.complex.vertices()), axis=0).max()) or 1.0
+
+
+def _barycentric(embedded: EmbeddedComplex, simplex: Simplex, points: np.ndarray, spread: float):
+    """The least-squares barycentric coordinates in ``simplex`` of ``points``,
+    one per row, as columns, and each point's residual, both solved relative
+    to the simplex's first vertex in units of ``spread``, the longest side of
+    the complex's bounding box (``_spread``)."""
+    corners = embedded.points(simplex)
+    system = (corners[1:] - corners[0]).T / spread
+    rhs = (points - corners[0]).T / spread
+    tail = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return np.vstack([1.0 - tail.sum(axis=0), tail]), np.abs(system @ tail - rhs).max(axis=0)
 
 
 def locate_points(embedded: EmbeddedComplex, points: np.ndarray) -> list[Simplex | None]:
     """For each row of ``points``, the simplex whose relative interior
     contains it (closed faces shared between simplices resolve to the face
-    itself), or None.  Coefficients and residuals are compared with the
-    absolute ``DEGENERACY_TOL``.
+    itself), or None.  Coordinates and residuals (in units of the complex's
+    spread) are compared with ``DEGENERACY_TOL``.
 
     Top simplices are tried in sorted order and the first match wins; each
     one solves for the barycentric coordinates of all points still
@@ -91,18 +112,14 @@ def locate_points(embedded: EmbeddedComplex, points: np.ndarray) -> list[Simplex
             f"points of length {points.shape[-1]} cannot be located in R^{embedded.ambient_dim}"
         )
     found: list[Simplex | None] = [None] * len(points)
-    targets = np.vstack([points.T, np.ones((1, len(points)))])
+    spread = _spread(embedded)
     todo = np.arange(len(points))
     for gamma in sorted(embedded.complex.maximal):
         if not len(todo):
             break
-        rhs = targets[:, todo]
-        system, coeffs = _barycentric(embedded, gamma, rhs)
-        hits = np.flatnonzero(coeffs.min(axis=0) >= -DEGENERACY_TOL)
-        if not len(hits):
-            continue
-        residual = np.abs(system @ coeffs[:, hits] - rhs[:, hits]).max(axis=0)
-        hits = hits[residual <= DEGENERACY_TOL]  # coordinates sum to ~1: no support is empty
+        coeffs, residual = _barycentric(embedded, gamma, points[todo], spread)
+        # coordinates sum to 1: no support is empty
+        hits = np.flatnonzero((coeffs.min(axis=0) >= -DEGENERACY_TOL) & (residual <= DEGENERACY_TOL))
         for j in hits:
             found[todo[j]] = tuple(v for v, c in zip(gamma, coeffs[:, j]) if c > DEGENERACY_TOL)
         todo = np.delete(todo, hits)
@@ -153,9 +170,8 @@ def stellar_subdivide(
         )
     if not np.isfinite(location).all():  # NaN would pass the interior test
         raise GeometryError("subdivision point has a non-finite coordinate")
-    target = np.append(location, 1.0)
-    system, coeffs = _barycentric(embedded, sigma, target)
-    if np.abs(system @ coeffs - target).max() > DEGENERACY_TOL or coeffs.min() <= DEGENERACY_TOL:
+    coeffs, residual = _barycentric(embedded, sigma, location[None, :], _spread(embedded))
+    if residual[0] > DEGENERACY_TOL or coeffs.min() <= DEGENERACY_TOL:
         raise GeometryError(f"subdivision point must lie in the relative interior of {sigma}")
     new_vertex = max(complex.vertices()) + 1
     maximal = []

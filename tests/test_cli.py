@@ -843,6 +843,29 @@ def test_verify_subdivision_refuses_a_chord_through_the_base(capsys, tmp_path):
     assert "carrier [0, 1, 2, 3] of [3, 4] is not a simplex of the base complex" in err
 
 
+def test_verify_subdivision_refuses_a_partial_refinement(capsys, tmp_path):
+    # three of the four triangles of the sphere: every vertex is located, and
+    # the check ran and exited 1 as if the theorem had failed
+    sphere = boundary_of_simplex(3)
+    base_path = tmp_path / "dD3.json"
+    with base_path.open("w") as handle:
+        cio.dump_complex(sphere, handle)
+    part = cio.complex_to_dict(sphere)
+    part["maximal_simplices"] = [t for t in part["maximal_simplices"] if t != [1, 2, 3]]
+    assert len(part["maximal_simplices"]) == 3
+    refined_path = tmp_path / "part.json"
+    refined_path.write_text(json.dumps(part))
+    code, out, err = run_cli(
+        capsys, "verify", "subdivision", str(refined_path), "--base", str(base_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the refined simplices carried by [1, 2, 3] do not subdivide it: "
+        "their Euler characteristic is 0, not 1\n"
+    )
+
+
 @pytest.mark.parametrize("sidecar", ["overrides", "carrier"])
 def test_sidecar_that_is_not_a_list_exits_2(capsys, tmp_path, sidecar):
     base_path, refined_path, _, _ = _barycentric_sidecar(capsys, tmp_path)

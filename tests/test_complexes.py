@@ -169,20 +169,6 @@ def test_polytope_boundary_cofaces_always_two():
     assert k.is_two_pseudomanifold()
 
 
-def test_link_fvector_identity():
-    sphere3 = SimplicialComplex(
-        [tuple(v for v in range(5) if v != skip) for skip in range(5)]
-    )
-    assert sphere3.link_fvector_identity_check(0)
-    assert sphere3.link_fvector_identity_check(1)
-    joined, _ = join_complexes(TRIANGLE_BOUNDARY, TRIANGLE_BOUNDARY)
-    assert joined.link_fvector_identity_check(0)
-    with pytest.raises(ValueError):
-        book_complex().link_fvector_identity_check(0)
-    with pytest.raises(ValueError):
-        sphere3.link_fvector_identity_check(3)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(range(6)))
 def test_relabel_preserves_structure(perm):

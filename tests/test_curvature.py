@@ -16,7 +16,6 @@ from simcurv.curvature import (
     _weights,
     ascending_stratified_curvature,
     carrier_alternating_sum,
-    carrier_alternating_sum_check,
     carrier_alternating_sums_hold,
     cone_vertex_curvature_factor,
     curvature_table,
@@ -304,7 +303,6 @@ def test_carrier_alternating_sums(sphere2):
     new_vertex = (max(facet_pair.refined.complex.vertices()),)
     # refreshed vertex against its own carrier
     assert carrier_alternating_sum(facet_pair, new_vertex, (0, 1, 2)) == 1
-    assert carrier_alternating_sum_check(facet_pair, new_vertex, (0, 1, 2))
     # undivided simplex against itself
     assert carrier_alternating_sum(facet_pair, (0, 1, 3), (0, 1, 3)) == 1
     assert carrier_alternating_sums_hold(facet_pair)
@@ -326,7 +324,6 @@ def test_carrier_alternating_sums_barycentric():
         tau for tau in pair.refined.complex.simplices(0) if pair.carrier[tau] == (0,)
     ][0]
     assert carrier_alternating_sum(pair, corner, (0, 1)) == -1
-    assert carrier_alternating_sum_check(pair, corner, (0, 1))
     assert carrier_alternating_sums_hold(pair)
 
 
@@ -566,14 +563,15 @@ def test_a_float_weight_is_refused(kind, p):
 def _fraction_evaluate(form, cache):
     """Reference: a form evaluated with ``Fraction`` weights, summing the
     same floats with ``math.fsum``; a pair of codimension 0 or 1 is taken
-    exactly, at the angle 1 or 1/2."""
+    exactly, at the angle 1 or 1/2.  A pair may carry a side tag in front,
+    (side, eta, sigma), as the subdivision check's two-sided forms do."""
     rational = Fraction(form.const, form.den)
     products = []
     variance = []
     exact = True
     for pair, c in form.coeffs.items():
         coeff = Fraction(c, form.den)
-        eta, sigma = pair
+        eta, sigma = pair[-2:]
         codim = len(sigma) - len(eta)
         if codim <= 1:
             rational += coeff / 2**codim
@@ -613,6 +611,44 @@ def _assert_evaluations_match_fractions(calls):
             assert _bits(cv.value, cv.std_error, cv.exact) == _bits(*_fraction_evaluate(form, book))
 
 
+def _two_sided_reference(parts):
+    """Reference: the sum of weight * form over (weight, side, form) parts as
+    one form with ``Fraction`` numerators over 1, its pairs tagged (side, eta,
+    sigma); a pair of weight 0 is left out, as the fill leaves it out."""
+    reference = _AngleForm(const=sum(w * Fraction(f.const, f.den) for w, _, f in parts))
+    for w, side, f in parts:
+        for pair, c in f.coeffs.items():
+            if w * c:
+                reference.coeffs[(side, *pair)] = w * Fraction(c, f.den)
+    return reference
+
+
+def _assert_subdivision_rows_match_fractions(pair, report, book):
+    """Every float of every row against the two-sided ``Fraction`` reference
+    of its field, built from the ascending forms of tau and its carrier."""
+    forms = {}
+    for side, embedded in (("base", pair.base), ("refined", pair.refined)):
+        complex, assignment = embedded.complex, stratify(embedded.complex)
+        forms[side] = {s: _form("ascending", s, complex, assignment) for s in complex.simplices()}
+    for row in report.rows:
+        tau, zeta = tuple(row["simplex"]), tuple(row["carrier"])
+        left, right = forms["refined"][tau], forms["base"][zeta]
+        a_p, a_s = angle_defect_term(len(zeta) - 1), angle_defect_term(len(tau) - 1)
+        fields = {
+            "lhs": [(a_p, "refined", left)],
+            "rhs": [(a_s, "base", right)],
+            "residual": [(a_p, "refined", left), (-a_s, "base", right)],
+        }
+        if len(tau) == len(zeta):
+            fields["equal_residual"] = [(1, "refined", left), (-1, "base", right)]
+        assert row.keys() - fields.keys() == {"simplex", "carrier", "std_error", "exact", "pass"}
+        for name, parts in fields.items():
+            value, std_error, exact = _fraction_evaluate(_two_sided_reference(parts), book)
+            assert row[name].hex() == value.hex(), (tau, name)
+            if name == "residual":
+                assert (row["std_error"].hex(), row["exact"]) == (std_error.hex(), exact), tau
+
+
 def test_evaluation_matches_fraction_arithmetic_bit_for_bit(monkeypatch, sphere3, book):
     cfg = AngleConfig(samples=2000, seed=5)
     sd1 = barycentric_subdivide(boundary_of_simplex(3)).refined
@@ -621,11 +657,39 @@ def test_evaluation_matches_fraction_arithmetic_bit_for_bit(monkeypatch, sphere3
     for embedded in (sd2.refined, book, sphere3):
         gauss_bonnet_check(embedded, cfg=cfg)
         curvature_table(embedded, "stratified", cfg=cfg)
-    subdivision_relation_check(sd2, cfg=cfg)
-    subdivision_relation_check(barycentric_subdivide(book), cfg=cfg)
+    pairs = [sd2, barycentric_subdivide(book)]
+    reports = [subdivision_relation_check(pair, cfg=cfg) for pair in pairs]
     _assert_evaluations_match_fractions(calls)
     # sphere3 and the book carry Monte Carlo angles
     assert any(not cv.exact for _, _, values in calls for cv in values.values())
+    # each subdivision check evaluates once, against both complexes' angles
+    for pair, report, (book, _, _) in zip(pairs, reports, calls[-2:], strict=True):
+        _assert_subdivision_rows_match_fractions(pair, report, book)
+    assert all(row["exact"] for row in reports[0].rows)
+    assert not all(row["exact"] for row in reports[1].rows)
+
+
+def test_subdivision_residual_is_one_exactly_rounded_sum():
+    # the refined vertices (0,) to (3,) sit at the tetrahedron's vertices;
+    # recombining their two curvatures as floats rounded them up to 8.3e-17 off
+    sd2 = barycentric_subdivide(barycentric_subdivide(boundary_of_simplex(3)).refined).refined
+    pair = barycentric_subdivide(sd2)
+    rows = {tuple(row["simplex"]): row for row in subdivision_relation_check(pair).rows}
+    for tau in [(0,), (1,), (2,), (3,)]:
+        zeta = pair.carrier[tau]
+        terms, const = [], Fraction(0)
+        for weight, embedded, simplex in (
+            (angle_defect_term(len(zeta) - 1), pair.refined, tau),
+            (-angle_defect_term(0), pair.base, zeta),
+        ):
+            form = _form("ascending", simplex, embedded.complex, stratify(embedded.complex))
+            cache = AngleCache(embedded)
+            cache.fill(form.coeffs)
+            const += weight * Fraction(form.const, form.den)
+            for key, c in form.coeffs.items():
+                terms.append(float(weight * Fraction(c, form.den)) * cache._values[key].value)
+        assert rows[tau]["exact"]
+        assert rows[tau]["residual"] == math.fsum([float(const), *terms]), tau
 
 
 # 10^20 + 2049 is above 2^53: converting it to float before dividing rounds

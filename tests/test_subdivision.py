@@ -321,3 +321,40 @@ def test_vertex_carriers_determine_the_full_map(sphere2, book):
             given = SubdivisionPair(pair.base, pair.refined, dict(pair.carrier))
             derived = SubdivisionPair(pair.base, pair.refined, vertices)
             assert list(given.carrier.items()) == list(derived.carrier.items())
+
+
+def _moved(embedded, scale, shift):
+    coords = {v: scale * p + shift for v, p in embedded.coordinates.items()}
+    return EmbeddedComplex(embedded.complex, coords, embedded.ambient_dim)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: boundary_of_simplex(3), lambda: boundary_of_simplex(4), triple_book],
+    ids=["simplex_boundary_3", "simplex_boundary_4", "triple_book"],
+)
+def test_carriers_do_not_depend_on_scale_or_translation(make):
+    # with absolute tolerances, 9 of 14 carriers of the sphere's refinement
+    # were wrong at scale 1e-9, and every vertex lay in no base simplex at 1e8
+    pair = barycentric_subdivide(make())
+    top = pair.base.complex.simplices(pair.base.complex.dim)[0]
+    expected = compute_carriers(pair.base, pair.refined)
+    assert expected == {(v,): pair.carrier[(v,)] for v in pair.refined.complex.vertices()}
+    for exponent in range(-12, 13):
+        scale = 10.0**exponent
+        for shift in (0.0, 1e3 * scale):
+            base, refined = (_moved(e, scale, shift) for e in (pair.base, pair.refined))
+            assert compute_carriers(base, refined) == expected, (scale, shift)
+            stellar = stellar_subdivide(base, top)
+            assert stellar.carrier[(max(stellar.refined.complex.vertices()),)] == top
+
+
+def test_partial_refinement_is_refused():
+    # three of the four triangles of the sphere: every vertex carrier is right
+    sphere = boundary_of_simplex(3)
+    part = EmbeddedComplex(SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3)]), sphere.coordinates)
+    carrier = compute_carriers(sphere, part)
+    assert carrier == {(v,): (v,) for v in range(4)}
+    message = "the refined simplices carried by [1, 2, 3] do not subdivide it"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SubdivisionPair(sphere, part, carrier)
