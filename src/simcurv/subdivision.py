@@ -34,10 +34,10 @@ class SubdivisionPair:
     simplex on which its barycenter's coordinates are positive.  It raises
     ValueError for complexes of different (ambient) dimensions, a missing
     vertex entry, an entry outside the refined complex, a carrier outside
-    the base complex, or a wrong union, and when the refined simplices
-    carried by a base simplex alpha do not subdivide it: the sum of
-    (-1)^dim eta over them must be (-1)^dim alpha, an open cell's Euler
-    characteristic."""
+    the base complex, or a wrong union, and when the sum of (-1)^dim eta
+    over the refined simplices carried by a base simplex alpha is not
+    (-1)^dim alpha, the Euler characteristic of the open cell they must
+    subdivide."""
 
     base: EmbeddedComplex
     refined: EmbeddedComplex
